@@ -6,7 +6,7 @@
 //!     [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|mesh16] \
 //!     [--queue N] [--batch N] [--backoff N] [--policy eager|lazy|huge] \
 //!     [--tlb N] [--faults SPEC] [--dram SPEC] [--watchdog N] [--counters] \
-//!     [--threads N] [--stats FILE] [--trace FILE]
+//!     [--stats FILE] [--trace FILE]
 //! ```
 //!
 //! Prints latency, IPC and (with `--counters`) every component's
@@ -40,19 +40,12 @@ fn usage() -> ! {
          \u{20}             [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|shard|mesh16]\n\
          \u{20}             [--queue N] [--batch N] [--backoff N] [--policy eager|lazy|huge]\n\
          \u{20}             [--tlb N] [--faults SPEC] [--dram SPEC] [--watchdog N] [--counters]\n\
-         \u{20}             [--threads N]\n\
          \u{20}             [--shards N] [--placement rr|occupancy] [--engines N] [--skew]\n\
-         \u{20}             [--stats FILE] [--trace FILE] [--bench-out FILE]\n\
-         \u{20}             [--baseline FILE] [--bless-baseline FILE]\n\
+         \u{20}             [--stats FILE] [--trace FILE]\n\
          sharding: --shards N splits the stream over N engines (mode shard);\n\
          \u{20}         --engines overrides the spare-inclusive pool size,\n\
          \u{20}         --skew makes every 4th element run heavy;\n\
          \u{20}         mode mesh16 is the 16-core big.LITTLE mesh (4 shards + noise)\n\
-         parallel: --threads N steps components on N host threads; results\n\
-         \u{20}         (incl. the printed checksum) are bit-identical at any N\n\
-         perf gate: --bench-out writes {{cycles, throughput, occupancy p50}} JSON;\n\
-         \u{20}          --baseline fails (exit 1) when cycles regress >5% vs FILE;\n\
-         \u{20}          --bless-baseline refreshes FILE from this run\n\
          fault spec: stall@C:D|forever; spike@C:D:F; storm@C:P; corrupt@C;\n\
          \u{20}           kill@C[:E]; maple-stall@C:D; maple-kill@C;\n\
          \u{20}           random:seed=S,count=N,from=A,to=B (semicolon-separated)\n\
@@ -62,37 +55,6 @@ fn usage() -> ! {
          \u{20}          contention model (flat-latency memory when absent)"
     );
     std::process::exit(2)
-}
-
-/// Allowed regression of the perf gate: runs are deterministic, so 5% is
-/// pure headroom for intentional timing-model recalibration.
-const BASELINE_TOLERANCE: f64 = 0.05;
-
-/// Renders the machine-readable benchmark record the CI perf gate diffs.
-fn bench_json(r: &RunResult, args: &str, queue: u64) -> String {
-    let mut occ = String::new();
-    for (name, h) in &r.histograms {
-        if let Some(engine) = name.strip_suffix(".in_queue_occupancy") {
-            if !occ.is_empty() {
-                occ.push_str(", ");
-            }
-            occ.push_str(&format!("\"{engine}\": {}", h.p50));
-        }
-    }
-    format!(
-        "{{\n  \"args\": \"{args}\",\n  \"cycles\": {},\n  \"throughput_elems_per_kcycle\": {:.3},\n  \"occupancy_p50\": {{{occ}}},\n  \"verified\": {}\n}}\n",
-        r.cycles,
-        queue as f64 * 1000.0 / r.cycles as f64,
-        r.verified
-    )
-}
-
-/// Pulls `"cycles": N` out of a baseline JSON without a parser dependency.
-fn parse_cycles(json: &str) -> Option<u64> {
-    let start = json.find("\"cycles\"")? + "\"cycles\"".len();
-    let rest = json[start..].trim_start_matches([':', ' ']);
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 fn main() {
@@ -113,10 +75,6 @@ fn main() {
     let mut placement = Placement::RoundRobin;
     let mut engines: Option<usize> = None;
     let mut skew = false;
-    let mut threads: Option<usize> = None;
-    let mut bench_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut bless: Option<String> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -167,11 +125,7 @@ fn main() {
                 })
             }
             "--engines" => engines = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--threads" => threads = Some(value().parse().unwrap_or_else(|_| usage())),
             "--skew" => skew = true,
-            "--bench-out" => bench_out = Some(value()),
-            "--baseline" => baseline = Some(value()),
-            "--bless-baseline" => bless = Some(value()),
             _ => usage(),
         }
     }
@@ -185,9 +139,6 @@ fn main() {
         scenario.soc.tlb_entries = t;
     }
     scenario.soc.dram = dram;
-    if let Some(t) = threads {
-        scenario.soc = scenario.soc.clone().with_threads(t);
-    }
     // --shards routes to the sharded runner (which arms its own failover
     // when a fault plan kills a shard engine).
     if shards.is_some() && mode == "cohort" {
@@ -286,56 +237,7 @@ fn main() {
         });
         println!("trace: wrote {path} (load in https://ui.perfetto.dev)");
     }
-    let record = bench_json(
-        &r,
-        &format!(
-            "workload={workload:?} mode={mode} queue={queue} batch={batch} shards={} placement={placement} skew={skew}",
-            shards.unwrap_or(1)
-        ),
-        queue,
-    );
-    if let Some(path) = &bench_out {
-        std::fs::write(path, &record).unwrap_or_else(|e| {
-            eprintln!("socrun: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("bench: wrote {path}");
-    }
-    if let Some(path) = &bless {
-        std::fs::write(path, &record).unwrap_or_else(|e| {
-            eprintln!("socrun: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("baseline: blessed {path} at {} cycles", r.cycles);
-    }
     if !r.verified {
         std::process::exit(1);
-    }
-    if let Some(path) = &baseline {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("socrun: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base = parse_cycles(&text).unwrap_or_else(|| {
-            eprintln!("socrun: baseline {path} has no \"cycles\" field");
-            std::process::exit(1);
-        });
-        let delta = r.cycles as f64 / base as f64 - 1.0;
-        println!(
-            "perf gate: {} cycles vs baseline {base} ({:+.2}%, tolerance {:.0}%)",
-            r.cycles,
-            delta * 100.0,
-            BASELINE_TOLERANCE * 100.0
-        );
-        if delta > BASELINE_TOLERANCE {
-            eprintln!(
-                "socrun: PERF REGRESSION: {} cycles is {:.2}% over baseline {base} (>{:.0}% tolerance); \
-                 if intentional, refresh with --bless-baseline {path}",
-                r.cycles,
-                delta * 100.0,
-                BASELINE_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
     }
 }

@@ -1,10 +1,9 @@
 //! Campaign execution: fan-out across host threads, per-run outcome
 //! classification, and the per-run JSON record.
 //!
-//! The fan-out reuses the `Sweep::run_seeds` shape — a shared atomic
-//! cursor over the job list, `std::thread::scope` workers, results
-//! written into index-addressed slots — so records come back in spec
-//! order regardless of which thread ran which job, and the whole
+//! The fan-out is a shared atomic cursor over the job list with
+//! `std::thread::scope` workers and results written into index-addressed
+//! slots, so records come back in spec order regardless of which thread ran which job, and the whole
 //! campaign is bit-identical at any `host_threads` setting. Each job
 //! runs under `catch_unwind`, so one wedged seed becomes a classified
 //! `hung` record instead of tearing down the campaign.

@@ -250,8 +250,6 @@ pub struct RunParams {
     pub policy: MapPolicy,
     /// Engine forward-progress watchdog budget (0 = runner default).
     pub watchdog: u64,
-    /// Simulator worker threads per run (results are thread-invariant).
-    pub sim_threads: usize,
     /// Shard count for the sharded runner.
     pub shards: usize,
     /// Shard placement policy (`"rr"` / `"occupancy"`).
@@ -284,7 +282,6 @@ impl Default for RunParams {
             backoff: 700,
             policy: MapPolicy::Eager,
             watchdog: 0,
-            sim_threads: 1,
             shards: 1,
             placement: Placement::RoundRobin,
             skew: false,
@@ -337,7 +334,6 @@ impl RunParams {
         s.backoff = self.backoff;
         s.watchdog = self.watchdog;
         s.seed = seed;
-        s.soc.threads = self.sim_threads.max(1);
         s.soc.faults = self.plan_for_seed(seed);
         s.soc.dram = self.dram.clone();
         let shard = if runner == Runner::Sharded {
@@ -652,7 +648,6 @@ fn apply_param(
             }
         }
         "watchdog" => p.watchdog = expect_int(key, value, line)?,
-        "sim_threads" => p.sim_threads = (expect_int(key, value, line)? as usize).max(1),
         "shards" => {
             p.shards = expect_int(key, value, line)? as usize;
             if p.shards == 0 || p.shards > 64 {

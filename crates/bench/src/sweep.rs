@@ -200,60 +200,6 @@ impl Sweep {
             .unwrap_or(0)
     }
 
-    /// Runs one configuration across many seeds on a pool of host
-    /// threads, one full simulation per seed. Seeds are claimed from a
-    /// shared atomic cursor, so the pool load-balances; results come
-    /// back in seed order regardless of which thread ran which seed.
-    /// Every run is end-to-end verified, same as [`Sweep::run`].
-    ///
-    /// This parallelism is *across* simulations and composes with the
-    /// per-simulation component parallelism in
-    /// [`cohort_sim::config::SocConfig::threads`]: sweeps of many small
-    /// runs scale better here, single huge runs scale better there.
-    ///
-    /// # Panics
-    /// Panics if any seed's run fails verification or a worker panics.
-    pub fn run_seeds(
-        workload: Workload,
-        mode: Mode,
-        queue_size: u64,
-        seeds: &[u64],
-        host_threads: usize,
-    ) -> Vec<RunResult> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        let threads = host_threads.clamp(1, seeds.len().max(1));
-        let next = AtomicUsize::new(0);
-        let out: Vec<Mutex<Option<RunResult>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = seeds.get(i) else { break };
-                    let mut scenario = match mode {
-                        Mode::Cohort { batch } => Scenario::new(workload, queue_size, batch),
-                        _ => Scenario::new(workload, queue_size, 64),
-                    };
-                    scenario.seed = seed;
-                    let result = match mode {
-                        Mode::Cohort { .. } => run_cohort(&scenario),
-                        Mode::Mmio => run_mmio(&scenario),
-                        Mode::Dma => run_dma(&scenario),
-                    };
-                    assert!(
-                        result.verified,
-                        "unverified run: {workload:?} {mode} queue={queue_size} seed={seed:#x}"
-                    );
-                    *out[i].lock().unwrap() = Some(result);
-                });
-            }
-        });
-        out.into_iter()
-            .map(|m| m.into_inner().unwrap().expect("every seed simulated"))
-            .collect()
-    }
-
     /// IPC speedup of Cohort over a baseline (Figs. 10/11).
     pub fn ipc_speedup(
         &mut self,
@@ -283,19 +229,6 @@ mod tests {
             .cycles;
         assert_eq!(a, b);
         assert_eq!(sweep.cache.len(), 1);
-    }
-
-    #[test]
-    fn parallel_seed_sweep_matches_serial() {
-        let seeds = [0x5eed, 0xfeed, 0xdead_beef];
-        let serial = Sweep::run_seeds(Workload::Aes, Mode::Cohort { batch: 8 }, 64, &seeds, 1);
-        let parallel = Sweep::run_seeds(Workload::Aes, Mode::Cohort { batch: 8 }, 64, &seeds, 3);
-        assert_eq!(serial.len(), seeds.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.cycles, p.cycles);
-            assert_eq!(s.checksum, p.checksum);
-            assert_eq!(s.stats_json, p.stats_json);
-        }
     }
 
     #[test]

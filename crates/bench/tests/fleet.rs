@@ -3,10 +3,10 @@
 //! and the CI check matrix, plus a splitmix64 fuzz of the spec loader.
 //!
 //! The determinism tests are the fleet-level extension of the simulator's
-//! cross-thread contract (`crates/bench/tests/determinism.rs`): not only
-//! must each `(scenario, seed)` run be bit-identical at any *simulator*
-//! thread count, the whole campaign's per-run records and summary must be
-//! bit-identical at any *host* fan-out width — thread scheduling may
+//! determinism contract (`crates/bench/tests/determinism.rs`): not only
+//! must each `(scenario, seed)` run be bit-identical under either
+//! lookahead mode, the whole campaign's per-run records and summary must
+//! be bit-identical at any *host* fan-out width — thread scheduling may
 //! reorder execution but never leak into what gets reported.
 
 use cohort_bench::fleet::{run_fleet, summarize, FleetSpec, Outcome, SpecError};
@@ -173,6 +173,12 @@ fn spec_errors_are_structured() {
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"cohort\"\nbogus = 3\n",
             |e| matches!(e, SpecError::UnknownKey { line: 7, section, key }
                 if section == "scenario" && key == "bogus"),
+        ),
+        // The retired per-run simulator thread count is no longer a key.
+        (
+            "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[defaults]\nsim_threads = 2\n[[scenario]]\nname = \"a\"\nrunner = \"cohort\"\n",
+            |e| matches!(e, SpecError::UnknownKey { line: 5, section, key }
+                if section == "defaults" && key == "sim_threads"),
         ),
         // An empty seed range.
         (

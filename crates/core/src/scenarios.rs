@@ -212,13 +212,13 @@ pub struct RunResult {
     /// Order-sensitive checksum over the run's observable payload (final
     /// cycle plus every recorded word). This is the value the determinism
     /// contract pins down: for a given scenario and seed it is
-    /// bit-identical at any `SocConfig::threads` setting and any
-    /// component registration order.
+    /// bit-identical under either `Lookahead` mode and any component
+    /// registration order.
     pub checksum: u64,
     /// Chrome `trace_event` JSON, present when the scenario enabled
     /// tracing. Loadable in Perfetto / `chrome://tracing`.
     pub trace_json: Option<String>,
-    /// Cycles the step kernel actually executed (and so paid the commit
+    /// Cycles the run loop actually stepped (and so paid the commit
     /// barrier for). With `Lookahead::Force1` this equals [`Self::cycles`];
     /// under `Auto` the difference is covered by [`Self::ff_cycles`].
     /// Host-side kernel telemetry: excluded from `stats_json` and
@@ -429,8 +429,7 @@ impl ShardSpec {
 /// cores stream background stores through the shared L2 — 16 in-order
 /// cores total, placed on the mesh alongside the directory, the engines
 /// and the MAPLE unit. This is the standard many-component workload for
-/// the parallel step kernel (`simperf`, the determinism suite and CI all
-/// run it).
+/// the simulation kernel (`simperf` and the determinism suite run it).
 pub fn mesh16_scenario(queue_size: u64, batch: u64) -> (Scenario, ShardSpec) {
     let mut scenario = Scenario::new(Workload::Aes, queue_size, batch);
     scenario.soc = SocConfig::default().with_engines(4);

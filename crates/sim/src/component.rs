@@ -186,12 +186,7 @@ impl Observability {
 /// Components are stepped once per cycle after NoC deliveries for that cycle
 /// have been placed in their inbox. A component should drain its inbox every
 /// step even when otherwise idle.
-///
-/// Components are `Send` so the SoC may step them from worker threads
-/// ([`crate::config::SocConfig::threads`]); they are never shared between
-/// threads (`Sync` is not required) — each slot is stepped by exactly one
-/// thread per cycle.
-pub trait Component: Send {
+pub trait Component {
     /// Short human-readable name, used in stats dumps.
     fn name(&self) -> &str;
 

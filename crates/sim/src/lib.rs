@@ -49,6 +49,8 @@
 //! # let _ = core_id;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod component;
 pub mod config;
@@ -59,7 +61,6 @@ pub mod faultinject;
 pub mod mem;
 pub mod msg;
 pub mod noc;
-pub(crate) mod parallel;
 pub mod port;
 pub mod program;
 pub mod soc;

@@ -737,7 +737,6 @@ const DRAM_FUZZ_SPEC: &str = "channels=1,banks=2,queue=2,miss=60,mshrs=4,ejectio
 fn fuzzed_dram_soc(
     rng: &mut Rng,
     lookahead: cohort_sim::config::Lookahead,
-    threads: usize,
 ) -> (
     cohort_sim::soc::Soc,
     cohort_sim::component::CompId,
@@ -748,8 +747,7 @@ fn fuzzed_dram_soc(
     let dram = cohort_sim::dram::DramConfig::from_spec(DRAM_FUZZ_SPEC).expect("fuzz spec parses");
     let cfg = cohort_sim::config::SocConfig::default()
         .with_dram(dram)
-        .with_lookahead(lookahead)
-        .with_threads(threads);
+        .with_lookahead(lookahead);
     let mut soc = cohort_sim::soc::Soc::new(cfg.clone());
     let dir = soc.add_component(
         TileCoord::new(0, 0),
@@ -798,8 +796,7 @@ fn dram_hints_never_overshoot_bank_events() {
     let mut rng = Rng::new(0xd7a3);
     let mut saw_dram_bound = false;
     for _ in 0..CASES {
-        let (mut soc, dir, sends) =
-            fuzzed_dram_soc(&mut rng, cohort_sim::config::Lookahead::Auto, 1);
+        let (mut soc, dir, sends) = fuzzed_dram_soc(&mut rng, cohort_sim::config::Lookahead::Auto);
         let deadline = 6_000u64;
         while soc.cycle < deadline {
             let now = soc.cycle;
@@ -833,22 +830,21 @@ fn dram_hints_never_overshoot_bank_events() {
     );
 }
 
-/// With DRAM enabled, forced cycle-by-cycle stepping, automatic lookahead
-/// batching, and a second worker thread are all observationally
-/// equivalent: same end state, same per-cycle grant deliveries, same
+/// With DRAM enabled, forced cycle-by-cycle stepping and automatic
+/// lookahead batching are observationally equivalent: same end state, same per-cycle grant deliveries, same
 /// directory/DRAM counters. The kernel invariant
 /// `barriers + ff_cycles == cycles` holds on the batched runs, and across
 /// the case set the starved geometry must actually exercise fills,
 /// channel-queue rejects and MSHR waits.
 #[test]
-fn dram_lookahead_modes_and_thread_counts_agree() {
+fn dram_lookahead_modes_agree() {
     use cohort_sim::component::{CompId, Component as _};
     use cohort_sim::config::Lookahead;
     use cohort_sim::directory::Directory;
 
-    let run = |seed: u64, lookahead: Lookahead, threads: usize| {
+    let run = |seed: u64, lookahead: Lookahead| {
         let mut rng = Rng::new(seed);
-        let (mut soc, dir, _) = fuzzed_dram_soc(&mut rng, lookahead, threads);
+        let (mut soc, dir, _) = fuzzed_dram_soc(&mut rng, lookahead);
         let outcome = soc.run(20_000);
         let deliveries: Vec<Vec<u64>> = [CompId(1), CompId(2)]
             .iter()
@@ -869,17 +865,14 @@ fn dram_lookahead_modes_and_thread_counts_agree() {
     let (mut skipped_any, mut rejected_any, mut stalled_any) = (false, false, false);
     for case in 0..CASES {
         let seed = 0xd7a7 + case;
-        let f1 = run(seed, Lookahead::Force1, 1);
-        let auto = run(seed, Lookahead::Auto, 1);
-        let auto2 = run(seed, Lookahead::Auto, 2);
+        let f1 = run(seed, Lookahead::Force1);
+        let auto = run(seed, Lookahead::Auto);
         assert_eq!(f1.3, 0, "Force1 must never fast-forward");
-        for other in [&auto, &auto2] {
-            assert_eq!(
-                (&f1.0, &f1.1, &f1.2),
-                (&other.0, &other.1, &other.2),
-                "observable state diverged between modes (seed {seed:#x})"
-            );
-        }
+        assert_eq!(
+            (&f1.0, &f1.1, &f1.2),
+            (&auto.0, &auto.1, &auto.2),
+            "observable state diverged between modes (seed {seed:#x})"
+        );
         assert_eq!(
             auto.4 + auto.3,
             auto.5,
