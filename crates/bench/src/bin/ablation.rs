@@ -5,9 +5,14 @@
 //! Writes `results/ablation.md` (or the directory given as the first
 //! argument).
 
-use cohort::scenarios::{run_cohort, CustomRun, Scenario, Workload};
+use cohort::scenarios::{run_scenario, CustomRun, RunResult, Runner, Scenario, Workload};
 use cohort_accel::nullfifo::NullFifo;
 use cohort_os::addrspace::MapPolicy;
+
+/// Runs one unsharded scenario through `runner`.
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+}
 
 fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "results".into());
@@ -23,7 +28,7 @@ fn main() {
         for batch in [8u64, 64] {
             let mut s = Scenario::new(Workload::Sha, 1024, batch);
             s.backoff = backoff;
-            let r = run_cohort(&s);
+            let r = run(Runner::Cohort, &s);
             assert!(r.verified);
             row.push_str(&format!(" {:.1} |", r.cycles as f64 / 1000.0));
         }
@@ -41,7 +46,7 @@ fn main() {
     for entries in [1usize, 2, 4, 8, 16, 32] {
         let mut s = Scenario::new(Workload::Sha, 4096, 64);
         s.soc.tlb_entries = entries;
-        let r = run_cohort(&s);
+        let r = run(Runner::Cohort, &s);
         assert!(r.verified);
         md.push_str(&format!(
             "| {entries} | {:.1} | {} |\n",
@@ -61,7 +66,7 @@ fn main() {
         let mut s = Scenario::new(Workload::Sha, 2048, 64);
         s.soc.tlb_entries = 4;
         s.policy = policy;
-        let r = run_cohort(&s);
+        let r = run(Runner::Cohort, &s);
         assert!(r.verified);
         md.push_str(&format!(
             "| {name} | {:.1} | {} | {} |\n",
@@ -98,7 +103,7 @@ fn main() {
         ));
     }
     for wl in [Workload::Sha, Workload::Aes] {
-        let r = run_cohort(&Scenario::new(wl, n, 64));
+        let r = run(Runner::Cohort, &Scenario::new(wl, n, 64));
         assert!(r.verified);
         md.push_str(&format!(
             "| {wl:?} | {:.1} | {:.1} |\n",

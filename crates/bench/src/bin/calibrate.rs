@@ -3,12 +3,17 @@
 //! changes can be sanity-checked faster than a full figure regeneration.
 //! `--diag` dumps per-component counters for one SHA and one AES run.
 
-use cohort::scenarios::{run_cohort, run_dma, run_mmio, Scenario, Workload};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
+
+/// Runs one unsharded scenario through `runner`.
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+}
 
 fn main() {
     let diag = std::env::args().any(|a| a == "--diag");
     if diag {
-        let r = run_cohort(&Scenario::new(Workload::Aes, 1024, 64));
+        let r = run(Runner::Cohort, &Scenario::new(Workload::Aes, 1024, 64));
         println!(
             "AES qs=1024 batch=64: cycles={} per-elem={:.1}",
             r.cycles,
@@ -17,7 +22,7 @@ fn main() {
         for (comp, counters) in &r.counters {
             println!("  {comp}: {counters:?}");
         }
-        let r = run_cohort(&Scenario::new(Workload::Sha, 1024, 64));
+        let r = run(Runner::Cohort, &Scenario::new(Workload::Sha, 1024, 64));
         println!(
             "SHA qs=1024 batch=64: cycles={} per-elem={:.1}",
             r.cycles,
@@ -31,11 +36,11 @@ fn main() {
     for wl in [Workload::Sha, Workload::Aes] {
         println!("== {wl:?} ==");
         for qs in [256u64, 1024, 4096] {
-            let c64 = run_cohort(&Scenario::new(wl, qs, 64));
+            let c64 = run(Runner::Cohort, &Scenario::new(wl, qs, 64));
             let small_batch = if wl == Workload::Sha { 8 } else { 2 };
-            let csmall = run_cohort(&Scenario::new(wl, qs, small_batch));
-            let m = run_mmio(&Scenario::new(wl, qs, 64));
-            let d = run_dma(&Scenario::new(wl, qs, 64));
+            let csmall = run(Runner::Cohort, &Scenario::new(wl, qs, small_batch));
+            let m = run(Runner::Mmio, &Scenario::new(wl, qs, 64));
+            let d = run(Runner::Dma, &Scenario::new(wl, qs, 64));
             assert!(c64.verified && csmall.verified && m.verified && d.verified);
             println!(
                 "qs={qs:5} cohort64={:8} small={:8} mmio={:8} dma={:8} | vsMMIO={:.2} vsDMA={:.2} batching={:.2} | ipcX mmio={:.2} dma={:.2}",

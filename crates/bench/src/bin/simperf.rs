@@ -18,9 +18,7 @@
 //! mode additionally requires the sharded-AES case to batch at least 3x
 //! fewer barriers than forced cycle-by-cycle stepping.
 
-use cohort::scenarios::{
-    mesh16_scenario, run_cohort_sharded, RunResult, Scenario, ShardSpec, Workload,
-};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload};
 use cohort_sim::config::{Lookahead, SocConfig};
 use std::time::Instant;
 
@@ -40,24 +38,26 @@ struct Measured {
 /// report / assert pipeline.
 struct Case {
     name: &'static str,
+    runner: Runner,
     scenario: Scenario,
-    spec: ShardSpec,
+    spec: Option<ShardSpec>,
 }
 
 fn cases(queue: u64) -> Vec<Case> {
     let mut sharded = Scenario::new(Workload::Aes, queue, 8);
     sharded.soc = SocConfig::default().with_engines(4);
-    let (mesh, mesh_spec) = mesh16_scenario(queue, 8);
     let mut out = vec![
         Case {
             name: "sharded-aes (4 engines)",
+            runner: Runner::Sharded,
             scenario: sharded,
-            spec: ShardSpec::new(4),
+            spec: Some(ShardSpec::new(4)),
         },
         Case {
             name: "mesh16 big.LITTLE",
-            scenario: mesh,
-            spec: mesh_spec,
+            runner: Runner::Mesh16,
+            scenario: Scenario::new(Workload::Aes, queue, 8),
+            spec: None,
         },
     ];
     // Batching pays off in latency-bound phases (accelerator compute
@@ -70,8 +70,9 @@ fn cases(queue: u64) -> Vec<Case> {
         small.soc = SocConfig::default().with_engines(4);
         out.push(Case {
             name: "sharded-aes latency-bound (queue 256)",
+            runner: Runner::Sharded,
             scenario: small,
-            spec: ShardSpec::new(4),
+            spec: Some(ShardSpec::new(4)),
         });
     }
     out
@@ -84,7 +85,7 @@ fn measure(case: &Case, reps: usize, lookahead: Lookahead) -> Measured {
     let mut result = None;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let r = run_cohort_sharded(&scenario, &case.spec).unwrap_or_else(|e| {
+        let r = run_scenario(case.runner, &scenario, case.spec.as_ref()).unwrap_or_else(|e| {
             eprintln!("simperf: {e}");
             std::process::exit(2);
         });

@@ -174,6 +174,10 @@ fn main() {
     scenario.trace = trace_path.is_some();
 
     let runner = Runner::parse(&mode).unwrap_or_else(|| usage());
+    if !runner.supports_policy(policy) {
+        eprintln!("socrun: mode {runner} cannot run under {policy:?} mapping");
+        std::process::exit(2);
+    }
     let shard_spec = match runner {
         Runner::Sharded => {
             let n = shards.unwrap_or(1);

@@ -697,6 +697,17 @@ fn validate_params(scenario: &str, runner: Runner, p: &RunParams) -> Result<(), 
             runner,
         });
     }
+    if !runner.supports_policy(p.policy) {
+        return Err(SpecError::BadValue {
+            line: 0,
+            key: "policy".into(),
+            msg: format!(
+                "scenario {scenario:?}: the {runner} runner cannot run under {:?} \
+                 mapping (MAPLE's DMA walker requires mapped memory)",
+                p.policy
+            ),
+        });
+    }
     let unsupported = |fault: &'static str, why: &'static str| SpecError::FaultUnsupported {
         scenario: scenario.to_string(),
         fault,

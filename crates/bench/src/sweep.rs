@@ -1,8 +1,6 @@
 //! Memoized benchmark execution across figures.
 
-use cohort::scenarios::{
-    run_cohort, run_cohort_sharded, run_dma, run_mmio, RunResult, Scenario, ShardSpec, Workload,
-};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload};
 use cohort_os::driver::Placement;
 use cohort_sim::config::SocConfig;
 use cohort_sim::dram::DramConfig;
@@ -69,15 +67,13 @@ impl Sweep {
             if self.verbose {
                 eprintln!("  simulating {workload:?} {mode} queue={queue_size} ...");
             }
-            let scenario = match mode {
-                Mode::Cohort { batch } => Scenario::new(workload, queue_size, batch),
-                _ => Scenario::new(workload, queue_size, 64),
+            let (runner, batch) = match mode {
+                Mode::Cohort { batch } => (Runner::Cohort, batch),
+                Mode::Mmio => (Runner::Mmio, 64),
+                Mode::Dma => (Runner::Dma, 64),
             };
-            let result = match mode {
-                Mode::Cohort { .. } => run_cohort(&scenario),
-                Mode::Mmio => run_mmio(&scenario),
-                Mode::Dma => run_dma(&scenario),
-            };
+            let scenario = Scenario::new(workload, queue_size, batch);
+            let result = run_scenario(runner, &scenario, None).expect("unsharded");
             assert!(
                 result.verified,
                 "unverified run: {workload:?} {mode} queue={queue_size}"
@@ -143,7 +139,7 @@ impl Sweep {
             let spec = ShardSpec::new(shards)
                 .with_placement(placement)
                 .with_skew(skewed);
-            let result = run_cohort_sharded(&scenario, &spec).expect("pool binds");
+            let result = run_scenario(Runner::Sharded, &scenario, Some(&spec)).expect("pool binds");
             assert!(
                 result.verified,
                 "unverified sharded run: {workload:?} n={shards} {placement} queue={queue_size}"

@@ -10,12 +10,15 @@
 //! component registration order (see the unit tests in
 //! `cohort_sim::soc`).
 
-use cohort::scenarios::{
-    mesh16_scenario, run_cohort_chain_failover, run_cohort_chaos, run_cohort_sharded, RunResult,
-    Scenario, ShardSpec, Workload,
-};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload};
 use cohort_sim::config::{Lookahead, SocConfig};
 use cohort_sim::faultinject::FaultPlan;
+
+/// Runs `scenario` through `runner` (a 2-shard spec for the sharded one).
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    let shard = (runner == Runner::Sharded).then(|| ShardSpec::new(2));
+    run_scenario(runner, scenario, shard.as_ref()).expect("pool binds")
+}
 
 /// Runs the scenario built by `run` under `Force1` and `Auto` and
 /// asserts every simulated observable agrees.
@@ -50,16 +53,16 @@ fn sharded_runs_are_lookahead_invariant() {
         scenario.soc = SocConfig::default()
             .with_engines(2)
             .with_lookahead(lookahead);
-        run_cohort_sharded(&scenario, &ShardSpec::new(2)).expect("pool binds")
+        run(Runner::Sharded, &scenario)
     });
 }
 
 #[test]
 fn mesh16_runs_are_lookahead_invariant() {
     assert_lookahead_invariant("mesh16", |lookahead| {
-        let (mut scenario, spec) = mesh16_scenario(64, 4);
-        scenario.soc = scenario.soc.clone().with_lookahead(lookahead);
-        run_cohort_sharded(&scenario, &spec).expect("pool binds")
+        let mut scenario = Scenario::new(Workload::Aes, 64, 4);
+        scenario.soc = SocConfig::default().with_lookahead(lookahead);
+        run(Runner::Mesh16, &scenario)
     });
 }
 
@@ -78,7 +81,7 @@ fn dram_contended_runs_are_lookahead_invariant() {
             .with_engines(2)
             .with_dram(dram.clone())
             .with_lookahead(lookahead);
-        run_cohort_sharded(&scenario, &ShardSpec::new(2)).expect("pool binds")
+        run(Runner::Sharded, &scenario)
     });
 }
 
@@ -93,7 +96,7 @@ fn chaos_runs_are_lookahead_invariant() {
         scenario.soc = SocConfig::default()
             .with_faults(plan.clone())
             .with_lookahead(lookahead);
-        run_cohort_chaos(&scenario)
+        run(Runner::Chaos, &scenario)
     });
 }
 
@@ -104,6 +107,6 @@ fn failover_runs_are_lookahead_invariant() {
     assert_lookahead_invariant("chain-failover", |lookahead| {
         let mut scenario = Scenario::new(Workload::Sha, 64, 8);
         scenario.soc = SocConfig::default().with_lookahead(lookahead);
-        run_cohort_chain_failover(&scenario)
+        run(Runner::Failover, &scenario)
     });
 }

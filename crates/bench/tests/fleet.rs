@@ -216,6 +216,11 @@ fn spec_errors_are_structured() {
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"shard\"\nworkload = \"sha\"\nqueue = 100\n",
             |e| matches!(e, SpecError::QueueGranularity { queue: 100, .. }),
         ),
+        // The DMA baselines cannot run under lazy mapping.
+        (
+            "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"dma\"\npolicy = \"lazy\"\n",
+            |e| matches!(e, SpecError::BadValue { line: 0, key, .. } if key == "policy"),
+        ),
         // Overrides must name an existing scenario...
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"cohort\"\n[[override]]\nscenario = \"ghost\"\nseed = 0\nqueue = 256\n",

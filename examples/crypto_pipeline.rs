@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release --example crypto_pipeline`
 
 use cohort::native::{cohort_register, pop_blocking, push_blocking};
-use cohort::scenarios::{run_cohort_chain, Scenario, Workload, AES_KEY};
+use cohort::scenarios::{run_scenario, Runner, Scenario, Workload, AES_KEY};
 use cohort_accel::aes128::{Aes128, Aes128Accel};
 use cohort_accel::sha256::{sha256_raw_block, Sha256Accel};
 use cohort_queue::spsc_channel;
@@ -66,7 +66,7 @@ fn native_chain() {
 fn simulated_chain() {
     println!("== simulated SoC chain: core -> AES engine -> SHA engine -> core ==");
     let scenario = Scenario::new(Workload::Sha, 256, 32);
-    let result = run_cohort_chain(&scenario);
+    let result = run_scenario(Runner::Chain, &scenario, None).expect("unsharded");
     assert!(result.verified, "simulated chain output mismatch");
     println!(
         "   {} elements through two Cohort engines in {} cycles (IPC {:.2}), verified",

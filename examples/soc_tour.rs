@@ -7,7 +7,12 @@
 //!
 //! Run with: `cargo run --release --example soc_tour`
 
-use cohort::scenarios::{run_cohort, run_dma, run_mmio, RunResult, Scenario, Workload};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
+
+/// Runs one unsharded scenario through `runner`.
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+}
 
 fn show(label: &str, r: &RunResult) {
     println!("--- {label} ---");
@@ -37,13 +42,13 @@ fn main() {
         scenario.queue_size, scenario.batch
     );
 
-    let cohort = run_cohort(&scenario);
+    let cohort = run(Runner::Cohort, &scenario);
     show("Cohort (SPSC queues + engine)", &cohort);
 
-    let mmio = run_mmio(&scenario);
+    let mmio = run(Runner::Mmio, &scenario);
     show("MMIO baseline (word-at-a-time)", &mmio);
 
-    let dma = run_dma(&scenario);
+    let dma = run(Runner::Dma, &scenario);
     show("Coherent DMA baseline (256-byte blocks)", &dma);
 
     println!("\nSummary:");

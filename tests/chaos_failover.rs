@@ -8,12 +8,15 @@
 //! weaker contract: a fail-stop there must surface as a clean reported
 //! error, never a hang.
 
-use cohort::scenarios::{
-    run_cohort_chain, run_cohort_chain_failover, run_dma_chaos, RunResult, Scenario, Workload,
-};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
 use cohort_maple::DEAD_SENTINEL;
 use cohort_sim::config::SocConfig;
 use cohort_sim::faultinject::{FaultKind, FaultPlan, FOREVER};
+
+/// Runs one unsharded scenario through `runner`.
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+}
 
 /// Order-sensitive payload checksum.
 fn checksum(words: &[u64]) -> u64 {
@@ -58,7 +61,7 @@ fn failover_scenario() -> Scenario {
 
 #[test]
 fn chain_failover_heals_onto_spare_with_exact_digests() {
-    let r = run_cohort_chain_failover(&failover_scenario());
+    let r = run(Runner::Failover, &failover_scenario());
     assert!(
         r.verified,
         "digest stream must match the host reference despite the kill"
@@ -80,8 +83,8 @@ fn chain_failover_heals_onto_spare_with_exact_digests() {
 
 #[test]
 fn chain_failover_loses_and_duplicates_nothing_vs_fault_free_run() {
-    let healthy = run_cohort_chain(&Scenario::new(Workload::Sha, 256, 16));
-    let failed_over = run_cohort_chain_failover(&failover_scenario());
+    let healthy = run(Runner::Chain, &Scenario::new(Workload::Sha, 256, 16));
+    let failed_over = run(Runner::Failover, &failover_scenario());
     assert!(healthy.verified && failed_over.verified);
     assert_eq!(
         failed_over.recorded.len(),
@@ -101,8 +104,8 @@ fn chain_failover_loses_and_duplicates_nothing_vs_fault_free_run() {
 
 #[test]
 fn chain_failover_is_bit_identical_across_same_seed_runs() {
-    let a = run_cohort_chain_failover(&failover_scenario());
-    let b = run_cohort_chain_failover(&failover_scenario());
+    let a = run(Runner::Failover, &failover_scenario());
+    let b = run(Runner::Failover, &failover_scenario());
     assert!(a.verified && b.verified);
     assert_eq!(a.cycles, b.cycles, "same seed, same cycle count");
     assert_eq!(checksum(&a.recorded), checksum(&b.recorded));
@@ -114,7 +117,7 @@ fn chain_failover_is_bit_identical_across_same_seed_runs() {
 
 #[test]
 fn failover_latency_histograms_are_populated() {
-    let r = run_cohort_chain_failover(&failover_scenario());
+    let r = run(Runner::Failover, &failover_scenario());
     assert!(r.verified);
     // Detect (kill → watchdog trip), rebind (IRQ T0 → spare enable) and
     // resume (IRQ T0 → first element produced on the spare) each record
@@ -130,9 +133,9 @@ fn failover_latency_histograms_are_populated() {
 fn maple_kill_reports_clean_error_instead_of_hanging() {
     let mut s = Scenario::new(Workload::Sha, 64, 8);
     s.soc = SocConfig::default().with_faults(FaultPlan::default().at(15_000, FaultKind::KillMaple));
-    // The run must terminate (asserted inside run_dma_chaos) and the
+    // The run must terminate (asserted inside `run_scenario`) and the
     // fault must be visible to software as the DMA_DONE sentinel.
-    let r = run_dma_chaos(&s);
+    let r = run(Runner::DmaChaos, &s);
     assert!(!r.verified, "a killed MAPLE cannot produce the full output");
     assert!(
         r.recorded.contains(&DEAD_SENTINEL),
@@ -153,8 +156,8 @@ fn maple_finite_stall_only_delays_completion() {
     // regardless of how the per-block kernel costs interleave.
     s.soc = SocConfig::default()
         .with_faults(FaultPlan::default().at(500, FaultKind::MapleStall { cycles: 30_000 }));
-    let r = run_dma_chaos(&s);
-    let clean = run_dma_chaos(&Scenario::new(Workload::Sha, 64, 8));
+    let r = run(Runner::DmaChaos, &s);
+    let clean = run(Runner::DmaChaos, &Scenario::new(Workload::Sha, 64, 8));
     assert!(r.verified, "a stalled MAPLE is still a correct MAPLE");
     assert!(clean.verified);
     assert_eq!(r.counter("maple", "fail_stops"), Some(0));
@@ -175,7 +178,7 @@ fn maple_forever_stall_is_a_hang_but_kill_is_not() {
             .at(15_000, FaultKind::MapleStall { cycles: FOREVER })
             .at(25_000, FaultKind::KillMaple),
     );
-    let r = run_dma_chaos(&s);
+    let r = run(Runner::DmaChaos, &s);
     assert!(!r.verified);
     assert!(
         r.recorded.contains(&DEAD_SENTINEL),

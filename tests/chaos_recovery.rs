@@ -3,13 +3,18 @@
 //! The recovery contract (docs/architecture.md §7): every fault class must
 //! end in completion with the exact fault-free output, or a clean reported
 //! error state — never a deadlock, never a panic. These tests drive each
-//! class through [`cohort::scenarios::run_cohort_chaos`], which arms the
-//! whole stack: watchdog, swap-backed fault handler, storm hook, and the
+//! class through `run_scenario(Runner::Chaos, ..)`, which arms the whole
+//! stack: watchdog, swap-backed fault handler, storm hook, and the
 //! bounded-retry error handler with a software fallback.
 
-use cohort::scenarios::{run_cohort, run_cohort_chaos, RunResult, Scenario, Workload};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
 use cohort_sim::config::SocConfig;
 use cohort_sim::faultinject::{FaultKind, FaultPlan, RandomFaults, FOREVER};
+
+/// Runs one unsharded scenario through `runner`.
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+}
 
 /// A small SHA chaos scenario carrying `plan`.
 fn chaos_scenario(plan: FaultPlan) -> Scenario {
@@ -45,7 +50,7 @@ fn hist_count(stats_json: &str, name: &str) -> u64 {
 #[test]
 fn finite_stall_recovers_without_watchdog_trip() {
     let plan = FaultPlan::default().at(5_000, FaultKind::AccelStall { cycles: 3_000 });
-    let r = run_cohort_chaos(&chaos_scenario(plan));
+    let r = run(Runner::Chaos, &chaos_scenario(plan));
     assert!(r.verified, "finite stall must not corrupt output");
     assert_eq!(
         engine_counter(&r, "watchdog_trips"),
@@ -60,7 +65,7 @@ fn infinite_stall_trips_watchdog_and_degrades_to_software() {
     let mut s =
         chaos_scenario(FaultPlan::default().at(5_000, FaultKind::AccelStall { cycles: FOREVER }));
     s.watchdog = 20_000; // detect the wedge quickly
-    let r = run_cohort_chaos(&s);
+    let r = run(Runner::Chaos, &s);
     assert!(
         r.verified,
         "software fallback must reproduce the full digest stream"
@@ -75,7 +80,7 @@ fn infinite_stall_trips_watchdog_and_degrades_to_software() {
 #[test]
 fn corrupted_descriptor_is_rejected_and_recovered() {
     let plan = FaultPlan::default().at(8_000, FaultKind::CorruptDescriptor);
-    let r = run_cohort_chaos(&chaos_scenario(plan));
+    let r = run(Runner::Chaos, &chaos_scenario(plan));
     assert!(
         r.verified,
         "corruption must be rejected, then worked around"
@@ -92,8 +97,8 @@ fn page_fault_storm_output_matches_fault_free_run() {
         .at(6_000, FaultKind::PageFaultStorm { pages: 2 })
         .at(20_000, FaultKind::PageFaultStorm { pages: 3 });
     let scenario = chaos_scenario(plan);
-    let stormy = run_cohort_chaos(&scenario);
-    let clean = run_cohort(&Scenario::new(Workload::Sha, 64, 8));
+    let stormy = run(Runner::Chaos, &scenario);
+    let clean = run(Runner::Cohort, &Scenario::new(Workload::Sha, 64, 8));
     assert!(stormy.verified && clean.verified);
     assert_eq!(
         checksum(&stormy.recorded),
@@ -115,7 +120,7 @@ fn latency_spike_completes_with_correct_output() {
             factor: 8,
         },
     );
-    let r = run_cohort_chaos(&chaos_scenario(plan));
+    let r = run(Runner::Chaos, &chaos_scenario(plan));
     assert!(r.verified, "a slow NoC is still a correct NoC");
 }
 
@@ -134,8 +139,8 @@ fn seeded_random_plan_is_deterministic_across_runs() {
         s.watchdog = 30_000;
         s
     };
-    let a = run_cohort_chaos(&make());
-    let b = run_cohort_chaos(&make());
+    let a = run(Runner::Chaos, &make());
+    let b = run(Runner::Chaos, &make());
     assert!(a.verified && b.verified);
     assert_eq!(a.cycles, b.cycles, "same seed, same cycle count");
     assert_eq!(checksum(&a.recorded), checksum(&b.recorded));
@@ -148,7 +153,7 @@ fn seeded_random_plan_is_deterministic_across_runs() {
 #[test]
 fn error_irq_latency_is_measured_end_to_end() {
     let plan = FaultPlan::default().at(8_000, FaultKind::CorruptDescriptor);
-    let r = run_cohort_chaos(&chaos_scenario(plan));
+    let r = run(Runner::Chaos, &chaos_scenario(plan));
     assert!(r.verified);
     let irqs = engine_counter(&r, "error_irqs");
     assert!(irqs >= 1);
@@ -174,7 +179,7 @@ fn retry_budget_resets_after_each_successful_recovery() {
         .at(40_000, FaultKind::AccelStall { cycles: 15_000 });
     let mut s = chaos_scenario(plan);
     s.watchdog = 10_000; // each stall overruns the budget exactly once
-    let r = run_cohort_chaos(&s);
+    let r = run(Runner::Chaos, &s);
     assert!(r.verified);
     assert!(
         engine_counter(&r, "watchdog_trips") >= 3,
@@ -198,7 +203,7 @@ fn chaos_transitions_are_visible_in_the_trace() {
         chaos_scenario(FaultPlan::default().at(5_000, FaultKind::AccelStall { cycles: FOREVER }));
     s.watchdog = 20_000;
     s.trace = true;
-    let r = run_cohort_chaos(&s);
+    let r = run(Runner::Chaos, &s);
     assert!(r.verified);
     let trace = r.trace_json.expect("tracing enabled");
     assert!(trace.contains("fault:stall"), "injection instant present");

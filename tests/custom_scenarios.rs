@@ -2,10 +2,15 @@
 //! through the simulated engine (STFT, null FIFO) and multicore
 //! interference.
 
-use cohort::scenarios::{run_cohort, run_cohort_interfered, CustomRun, Scenario, Workload};
+use cohort::scenarios::{run_scenario, CustomRun, RunResult, Runner, Scenario, Workload};
 use cohort_accel::nullfifo::NullFifo;
 use cohort_accel::stft::StftAccel;
 use cohort_accel::Accelerator;
+
+/// Runs one unsharded scenario through `runner`.
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+}
 
 fn words(bytes: &[u8]) -> Vec<u64> {
     bytes
@@ -68,8 +73,8 @@ fn custom_run_with_small_batches_still_verifies() {
 #[test]
 fn l2_interference_slows_cohort_but_preserves_correctness() {
     let scenario = Scenario::new(Workload::Sha, 512, 64);
-    let clean = run_cohort(&scenario);
-    let noisy = run_cohort_interfered(&scenario);
+    let clean = run(Runner::Cohort, &scenario);
+    let noisy = run(Runner::Interfered, &scenario);
     assert!(clean.verified && noisy.verified);
     assert!(
         noisy.cycles > clean.cycles,

@@ -3,7 +3,11 @@
 //! counters, and engine backoff/TLB counters, plus a Chrome `trace_event`
 //! JSON document (the format Perfetto and `chrome://tracing` load).
 
-use cohort::scenarios::{run_cohort, Scenario, Workload};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
+
+fn cohort(scenario: &Scenario) -> RunResult {
+    run_scenario(Runner::Cohort, scenario, None).expect("unsharded")
+}
 
 /// Pulls `"key":value` (or `"key":{...}` presence) out of the hand-rolled
 /// JSON without a parser dependency.
@@ -23,7 +27,7 @@ fn counter_value(json: &str, key: &str) -> Option<u64> {
 fn traced_crypto_run_produces_stats_and_trace_json() {
     let mut scenario = Scenario::new(Workload::Aes, 128, 8);
     scenario.trace = true;
-    let r = run_cohort(&scenario);
+    let r = cohort(&scenario);
     assert!(r.verified);
 
     // Stats registry: cache hit/miss per level, NoC, engine backoff + TLB.
@@ -75,12 +79,12 @@ fn traced_crypto_run_produces_stats_and_trace_json() {
 /// — distinct keys, both present, neither adopted into the other.
 #[test]
 fn two_engine_soc_has_distinct_stats_scopes() {
-    use cohort::scenarios::{run_cohort_sharded, ShardSpec};
+    use cohort::scenarios::ShardSpec;
     use cohort_sim::config::SocConfig;
 
     let mut scenario = Scenario::new(Workload::Aes, 128, 8);
     scenario.soc = SocConfig::default().with_engines(2);
-    let r = run_cohort_sharded(&scenario, &ShardSpec::new(2)).expect("pool binds");
+    let r = run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(2))).expect("pool binds");
     assert!(r.verified);
     for scope in ["engine#0", "engine#1"] {
         for key in ["consumed", "backoffs", "tlb_hits"] {
@@ -100,7 +104,7 @@ fn two_engine_soc_has_distinct_stats_scopes() {
 
 #[test]
 fn untraced_run_has_stats_but_no_trace() {
-    let r = run_cohort(&Scenario::new(Workload::Sha, 64, 8));
+    let r = cohort(&Scenario::new(Workload::Sha, 64, 8));
     assert!(r.verified);
     assert!(r.trace_json.is_none());
     // Stats are always collected — tracing off does not disable counters.

@@ -1,14 +1,19 @@
 //! Full-system integration tests: benchmark scenarios on the simulated SoC
 //! with end-to-end output verification.
 
-use cohort::scenarios::{run_cohort, run_cohort_chain, run_dma, run_mmio, Scenario, Workload};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
 use cohort_os::addrspace::MapPolicy;
+
+/// Runs one unsharded scenario through `runner`.
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+}
 
 #[test]
 fn cohort_sha_verifies_across_sizes_and_batches() {
     for qs in [64u64, 256, 1024] {
         for batch in [8u64, 64] {
-            let r = run_cohort(&Scenario::new(Workload::Sha, qs, batch));
+            let r = run(Runner::Cohort, &Scenario::new(Workload::Sha, qs, batch));
             assert!(r.verified, "sha qs={qs} batch={batch}");
             assert_eq!(r.recorded.len() as u64, qs / 2);
         }
@@ -19,7 +24,7 @@ fn cohort_sha_verifies_across_sizes_and_batches() {
 fn cohort_aes_verifies_across_sizes_and_batches() {
     for qs in [64u64, 256] {
         for batch in [2u64, 16, 64] {
-            let r = run_cohort(&Scenario::new(Workload::Aes, qs, batch));
+            let r = run(Runner::Cohort, &Scenario::new(Workload::Aes, qs, batch));
             assert!(r.verified, "aes qs={qs} batch={batch}");
             assert_eq!(r.recorded.len() as u64, qs);
         }
@@ -29,9 +34,9 @@ fn cohort_aes_verifies_across_sizes_and_batches() {
 #[test]
 fn baselines_verify() {
     for wl in [Workload::Sha, Workload::Aes] {
-        let m = run_mmio(&Scenario::new(wl, 128, 64));
+        let m = run(Runner::Mmio, &Scenario::new(wl, 128, 64));
         assert!(m.verified, "{wl:?} mmio");
-        let d = run_dma(&Scenario::new(wl, 128, 64));
+        let d = run(Runner::Dma, &Scenario::new(wl, 128, 64));
         assert!(d.verified, "{wl:?} dma");
     }
 }
@@ -40,9 +45,9 @@ fn baselines_verify() {
 fn cohort_outperforms_both_baselines_at_batch_64() {
     for wl in [Workload::Sha, Workload::Aes] {
         let s = Scenario::new(wl, 512, 64);
-        let c = run_cohort(&s).cycles;
-        let m = run_mmio(&s).cycles;
-        let d = run_dma(&s).cycles;
+        let c = run(Runner::Cohort, &s).cycles;
+        let m = run(Runner::Mmio, &s).cycles;
+        let d = run(Runner::Dma, &s).cycles;
         assert!(c < m, "{wl:?}: cohort {c} vs mmio {m}");
         assert!(c < d, "{wl:?}: cohort {c} vs dma {d}");
     }
@@ -54,8 +59,10 @@ fn sha_speedup_larger_than_aes_speedup() {
     // and lower latency give it smaller gains.
     let sha = Scenario::new(Workload::Sha, 1024, 64);
     let aes = Scenario::new(Workload::Aes, 1024, 64);
-    let sha_speedup = run_mmio(&sha).cycles as f64 / run_cohort(&sha).cycles as f64;
-    let aes_speedup = run_mmio(&aes).cycles as f64 / run_cohort(&aes).cycles as f64;
+    let sha_speedup =
+        run(Runner::Mmio, &sha).cycles as f64 / run(Runner::Cohort, &sha).cycles as f64;
+    let aes_speedup =
+        run(Runner::Mmio, &aes).cycles as f64 / run(Runner::Cohort, &aes).cycles as f64;
     assert!(
         sha_speedup > 1.5 * aes_speedup,
         "sha {sha_speedup:.2} vs aes {aes_speedup:.2}"
@@ -67,8 +74,8 @@ fn small_batches_lose_to_baselines_for_aes() {
     // Fig. 9: "batch sizes larger than 16 elements always perform equal or
     // better than both baselines" — conversely batch=2 is worse.
     let s = Scenario::new(Workload::Aes, 512, 2);
-    let c = run_cohort(&s).cycles;
-    let m = run_mmio(&s).cycles;
+    let c = run(Runner::Cohort, &s).cycles;
+    let m = run(Runner::Mmio, &s).cycles;
     assert!(c > m, "AES batch=2 cohort {c} should lose to MMIO {m}");
 }
 
@@ -76,7 +83,7 @@ fn small_batches_lose_to_baselines_for_aes() {
 fn lazy_mapping_faults_are_resolved_by_the_driver() {
     let mut s = Scenario::new(Workload::Sha, 128, 16);
     s.policy = MapPolicy::Lazy;
-    let r = run_cohort(&s);
+    let r = run(Runner::Cohort, &s);
     assert!(r.verified, "lazy run must still verify");
     let faults = r.counter("engine", "faults").unwrap_or(0);
     assert!(faults > 0, "lazy mapping must exercise the page-fault path");
@@ -87,10 +94,10 @@ fn lazy_mapping_faults_are_resolved_by_the_driver() {
 
 #[test]
 fn lazy_mapping_costs_more_than_eager() {
-    let eager = run_cohort(&Scenario::new(Workload::Sha, 256, 64));
+    let eager = run(Runner::Cohort, &Scenario::new(Workload::Sha, 256, 64));
     let mut s = Scenario::new(Workload::Sha, 256, 64);
     s.policy = MapPolicy::Lazy;
-    let lazy = run_cohort(&s);
+    let lazy = run(Runner::Cohort, &s);
     assert!(lazy.cycles > eager.cycles);
 }
 
@@ -98,10 +105,10 @@ fn lazy_mapping_costs_more_than_eager() {
 fn huge_pages_reduce_tlb_misses() {
     let mut small = Scenario::new(Workload::Sha, 2048, 64);
     small.soc.tlb_entries = 4; // stress the TLB
-    let base = run_cohort(&small);
+    let base = run(Runner::Cohort, &small);
     let mut huge = small.clone();
     huge.policy = MapPolicy::HugePages;
-    let hp = run_cohort(&huge);
+    let hp = run(Runner::Cohort, &huge);
     assert!(hp.verified && base.verified);
     let m_base = base.counter("engine", "tlb_misses").unwrap();
     let m_hp = hp.counter("engine", "tlb_misses").unwrap();
@@ -113,7 +120,7 @@ fn huge_pages_reduce_tlb_misses() {
 
 #[test]
 fn rcm_observes_invalidations() {
-    let r = run_cohort(&Scenario::new(Workload::Sha, 256, 16));
+    let r = run(Runner::Cohort, &Scenario::new(Workload::Sha, 256, 16));
     let invs = r.counter("engine", "rcm_invalidations").unwrap();
     assert!(
         invs > 0,
@@ -125,14 +132,14 @@ fn rcm_observes_invalidations() {
 
 #[test]
 fn engine_counters_match_data_volume() {
-    let r = run_cohort(&Scenario::new(Workload::Aes, 256, 32));
+    let r = run(Runner::Cohort, &Scenario::new(Workload::Aes, 256, 32));
     assert_eq!(r.counter("engine", "consumed"), Some(256));
     assert_eq!(r.counter("engine", "produced"), Some(256));
 }
 
 #[test]
 fn chained_engines_verify_and_report() {
-    let r = run_cohort_chain(&Scenario::new(Workload::Sha, 128, 16));
+    let r = run(Runner::Chain, &Scenario::new(Workload::Sha, 128, 16));
     assert!(r.verified);
     assert_eq!(r.recorded.len(), 64);
     // Both engines moved data.
@@ -150,8 +157,8 @@ fn chained_engines_verify_and_report() {
 
 #[test]
 fn deterministic_given_seed() {
-    let a = run_cohort(&Scenario::new(Workload::Sha, 128, 16));
-    let b = run_cohort(&Scenario::new(Workload::Sha, 128, 16));
+    let a = run(Runner::Cohort, &Scenario::new(Workload::Sha, 128, 16));
+    let b = run(Runner::Cohort, &Scenario::new(Workload::Sha, 128, 16));
     assert_eq!(a.cycles, b.cycles, "simulation must be deterministic");
     assert_eq!(a.instret, b.instret);
     assert_eq!(a.recorded, b.recorded);
@@ -163,8 +170,8 @@ fn different_seeds_different_data_same_shape() {
     s1.seed = 1;
     let mut s2 = Scenario::new(Workload::Aes, 128, 16);
     s2.seed = 2;
-    let a = run_cohort(&s1);
-    let b = run_cohort(&s2);
+    let a = run(Runner::Cohort, &s1);
+    let b = run(Runner::Cohort, &s2);
     assert!(a.verified && b.verified);
     assert_ne!(
         a.recorded, b.recorded,
@@ -174,8 +181,8 @@ fn different_seeds_different_data_same_shape() {
 
 #[test]
 fn latency_scales_roughly_linearly_with_queue_size() {
-    let small = run_cohort(&Scenario::new(Workload::Sha, 256, 64)).cycles as f64;
-    let large = run_cohort(&Scenario::new(Workload::Sha, 1024, 64)).cycles as f64;
+    let small = run(Runner::Cohort, &Scenario::new(Workload::Sha, 256, 64)).cycles as f64;
+    let large = run(Runner::Cohort, &Scenario::new(Workload::Sha, 1024, 64)).cycles as f64;
     let ratio = large / small;
     assert!(
         (2.5..6.0).contains(&ratio),
