@@ -19,7 +19,7 @@
 //! fewer barriers than forced cycle-by-cycle stepping.
 
 use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload};
-use cohort_sim::config::{Lookahead, SocConfig};
+use cohort_sim::config::Lookahead;
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -44,13 +44,11 @@ struct Case {
 }
 
 fn cases(queue: u64) -> Vec<Case> {
-    let mut sharded = Scenario::new(Workload::Aes, queue, 8);
-    sharded.soc = SocConfig::default().with_engines(4);
     let mut out = vec![
         Case {
             name: "sharded-aes (4 engines)",
             runner: Runner::Sharded,
-            scenario: sharded,
+            scenario: Scenario::new(Workload::Aes, queue, 8),
             spec: Some(ShardSpec::new(4)),
         },
         Case {
@@ -66,12 +64,10 @@ fn cases(queue: u64) -> Vec<Case> {
     // of the sharded case to show that regime. At `--check` the main
     // case already runs at queue <= 256 and this would be a duplicate.
     if queue > 256 {
-        let mut small = Scenario::new(Workload::Aes, 256, 8);
-        small.soc = SocConfig::default().with_engines(4);
         out.push(Case {
             name: "sharded-aes latency-bound (queue 256)",
             runner: Runner::Sharded,
-            scenario: small,
+            scenario: Scenario::new(Workload::Aes, 256, 8),
             spec: Some(ShardSpec::new(4)),
         });
     }

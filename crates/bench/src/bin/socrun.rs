@@ -1,13 +1,8 @@
-//! Interactive single-run driver for the simulated SoC.
-//!
-//! ```text
-//! cargo run --release -p cohort-bench --bin socrun -- \
-//!     [--workload sha|aes] \
-//!     [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|mesh16] \
-//!     [--queue N] [--batch N] [--backoff N] [--policy eager|lazy|huge] \
-//!     [--tlb N] [--faults SPEC] [--dram SPEC] [--watchdog N] [--counters] \
-//!     [--stats FILE] [--trace FILE]
-//! ```
+//! Interactive single-run driver for the simulated SoC: `--mode` picks
+//! one of the ten runners (`cohort`, `mmio`, `dma`, `chain`, `interfered`,
+//! `chaos`, `failover`, `dma-chaos`, `shard`, `mesh16`), and
+//! `cargo run --release -p cohort-bench --bin socrun -- --help` lists
+//! every flag.
 //!
 //! Prints latency, IPC and (with `--counters`) every component's
 //! performance counters for one configuration — the quickest way to poke
@@ -16,34 +11,44 @@
 //! cycle-stamped event trace and writes Chrome `trace_event` JSON that
 //! loads in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
+//! Every other flag is the fleet-spec run parameter of the same name,
+//! parsed by the spec's key table ([`RunParams::set`]) and materialised by
+//! [`RunParams::to_scenario`]; `run_scenario` checks the composition. So
+//! `socrun` and `cohort-fleet` accept and reject the same inputs, with the
+//! same messages. The defaults are SHA, queue 1024, batch 64, seed
+//! `0x5eed`, and a fault plan runs as written (no per-seed re-keying).
+//!
 //! `--faults` takes a deterministic fault-injection spec, e.g.
 //! `stall@5000:forever;storm@20000:2`, `kill@20000:1` (fail-stop engine 1),
 //! `maple-kill@15000` or `random:seed=7,count=4` (see
-//! `cohort_sim::faultinject::FaultPlan::parse` for the grammar); `chaos`
-//! mode runs the Cohort benchmark with the full recovery stack armed,
-//! `failover` runs the AES→SHA chain with a cold spare and the failover
-//! orchestrator (a `kill@…` fault plan routes here by default),
-//! `dma-chaos` runs the DMA baseline hardened for MAPLE faults, and
-//! `--watchdog` overrides the engine's forward-progress budget.
+//! `cohort_sim::faultinject::FaultPlan::parse` for the grammar). Without
+//! an explicit mode, `--shards` selects `shard`, and a fault plan selects
+//! the runner armed to recover from it: `failover` (the AES→SHA chain
+//! with a cold spare) for a `kill@…`, `dma-chaos` (the DMA baseline
+//! hardened for MAPLE faults) for a MAPLE fault, else `chaos` (the Cohort
+//! benchmark with the full recovery stack). `--watchdog` overrides the
+//! engine's forward-progress budget.
 
-use cohort::scenarios::{
-    run_scenario, sharded_engines_for, RunResult, Runner, Scenario, ShardSpec, Workload,
-};
-use cohort_os::addrspace::MapPolicy;
-use cohort_os::driver::Placement;
-use cohort_sim::dram::DramConfig;
-use cohort_sim::faultinject::{FaultKind, FaultPlan};
+use cohort::scenarios::{run_scenario, Runner, Workload};
+use cohort_bench::fleet::RunParams;
+use cohort_sim::faultinject::FaultKind;
+
+/// Flags that set the run parameter of the same name.
+const PARAM_FLAGS: &str =
+    "workload queue batch backoff policy watchdog faults dram shards placement skew";
+
+/// The data seed of every run (`Scenario::new`'s default).
+const SEED: u64 = 0x5eed;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: socrun [--workload sha|aes]\n\
-         \u{20}             [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|shard|mesh16]\n\
-         \u{20}             [--queue N] [--batch N] [--backoff N] [--policy eager|lazy|huge]\n\
-         \u{20}             [--tlb N] [--faults SPEC] [--dram SPEC] [--watchdog N] [--counters]\n\
-         \u{20}             [--shards N] [--placement rr|occupancy] [--engines N] [--skew]\n\
-         \u{20}             [--stats FILE] [--trace FILE]\n\
-         sharding: --shards N splits the stream over N engines (mode shard);\n\
-         \u{20}         --engines overrides the spare-inclusive pool size,\n\
+        "usage: socrun [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|shard|mesh16]\n\
+         \u{20}             [--workload sha|aes] [--queue N] [--batch N] [--backoff N]\n\
+         \u{20}             [--policy eager|lazy|huge] [--watchdog N] [--faults SPEC] [--dram SPEC]\n\
+         \u{20}             [--shards N] [--placement rr|occupancy] [--skew]\n\
+         \u{20}             [--counters] [--stats FILE] [--trace FILE]\n\
+         sharding: --shards N splits the stream over N engines (mode shard),\n\
+         \u{20}         plus a failover spare when a kill fault targets a shard;\n\
          \u{20}         --skew makes every 4th element run heavy;\n\
          \u{20}         mode mesh16 is the 16-core big.LITTLE mesh (4 shards + noise)\n\
          fault spec: stall@C:D|forever; spike@C:D:F; storm@C:P; corrupt@C;\n\
@@ -58,150 +63,80 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut workload = Workload::Sha;
+    let mut params = RunParams {
+        workload: Workload::Sha,
+        queue: 1024,
+        batch: 64,
+        vary_fault_seed: false,
+        ..RunParams::default()
+    };
     let mut mode = "cohort".to_string();
-    let mut queue = 1024u64;
-    let mut batch = 64u64;
-    let mut backoff: Option<u64> = None;
-    let mut policy = MapPolicy::Eager;
-    let mut tlb: Option<usize> = None;
-    let mut dram: Option<DramConfig> = None;
-    let mut faults: Option<FaultPlan> = None;
-    let mut watchdog: Option<u64> = None;
+    let mut given: Vec<&str> = Vec::new();
     let mut counters = false;
     let mut stats_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut shards: Option<usize> = None;
-    let mut placement = Placement::RoundRobin;
-    let mut engines: Option<usize> = None;
-    let mut skew = false;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--workload" => {
-                workload = match value().as_str() {
-                    "sha" => Workload::Sha,
-                    "aes" => Workload::Aes,
-                    _ => usage(),
-                }
-            }
             "--mode" => mode = value(),
-            "--queue" => queue = value().parse().unwrap_or_else(|_| usage()),
-            "--batch" => batch = value().parse().unwrap_or_else(|_| usage()),
-            "--backoff" => backoff = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--policy" => {
-                policy = match value().as_str() {
-                    "eager" => MapPolicy::Eager,
-                    "lazy" => MapPolicy::Lazy,
-                    "huge" => MapPolicy::HugePages,
-                    _ => usage(),
-                }
-            }
-            "--tlb" => tlb = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--dram" => {
-                dram = Some(DramConfig::from_spec(&value()).unwrap_or_else(|e| {
-                    eprintln!("socrun: {e}");
-                    usage()
-                }))
-            }
-            "--faults" => {
-                faults = Some(FaultPlan::parse(&value()).unwrap_or_else(|e| {
-                    eprintln!("socrun: {e}");
-                    usage()
-                }))
-            }
-            "--watchdog" => watchdog = Some(value().parse().unwrap_or_else(|_| usage())),
             "--counters" => counters = true,
             "--stats" => stats_path = Some(value()),
             "--trace" => trace_path = Some(value()),
-            "--shards" => shards = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--placement" => {
-                placement = value().parse().unwrap_or_else(|e: String| {
-                    eprintln!("socrun: {e}");
+            _ => {
+                let key = flag
+                    .strip_prefix("--")
+                    .and_then(|k| PARAM_FLAGS.split(' ').find(|&p| p == k))
+                    .unwrap_or_else(|| usage());
+                let text = if key == "skew" {
+                    "true".into()
+                } else {
+                    value()
+                };
+                params.set(key, &text).unwrap_or_else(|e| {
+                    eprintln!("socrun: --{key}: {e}");
                     usage()
-                })
+                });
+                given.push(key);
             }
-            "--engines" => engines = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--skew" => skew = true,
-            _ => usage(),
         }
     }
 
-    let mut scenario = Scenario::new(workload, queue, batch);
-    scenario.policy = policy;
-    if let Some(b) = backoff {
-        scenario.backoff = b;
-    }
-    if let Some(t) = tlb {
-        scenario.soc.tlb_entries = t;
-    }
-    scenario.soc.dram = dram;
-    // --shards routes to the sharded runner (which arms its own failover
-    // when a fault plan kills a shard engine).
-    if shards.is_some() && mode == "cohort" {
+    if mode == "cohort" && given.contains(&"shards") {
         mode = "shard".to_string();
-    }
-    if let Some(plan) = faults {
-        // A fault plan without an explicit mode picks the runner armed to
-        // recover from it: engine fail-stops route to the chain-failover
-        // scenario, MAPLE faults to the hardened DMA baseline, everything
-        // else to the chaos runner.
-        if mode == "cohort" {
-            mode = if plan
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::KillEngine { .. }))
-            {
-                "failover".to_string()
-            } else if plan
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::KillMaple | FaultKind::MapleStall { .. }))
-            {
-                "dma-chaos".to_string()
-            } else {
-                "chaos".to_string()
-            };
+    } else if mode == "cohort" && given.contains(&"faults") {
+        let has = |f: fn(&FaultKind) -> bool| params.faults.events.iter().any(|e| f(&e.kind));
+        mode = if has(|k| matches!(k, FaultKind::KillEngine { .. })) {
+            "failover"
+        } else if has(|k| matches!(k, FaultKind::KillMaple | FaultKind::MapleStall { .. })) {
+            "dma-chaos"
+        } else {
+            "chaos"
         }
-        scenario.soc.faults = plan;
+        .to_string();
     }
-    if let Some(w) = watchdog {
-        scenario.watchdog = w;
-    }
+    let runner = Runner::parse(&mode).unwrap_or_else(|| usage());
+    let (mut scenario, shard) = params.to_scenario(runner, SEED);
     scenario.trace = trace_path.is_some();
 
-    let runner = Runner::parse(&mode).unwrap_or_else(|| usage());
-    if !runner.supports_policy(policy) {
-        eprintln!("socrun: mode {runner} cannot run under {policy:?} mapping");
-        std::process::exit(2);
-    }
-    let shard_spec = match runner {
-        Runner::Sharded => {
-            let n = shards.unwrap_or(1);
-            // Spare-inclusive pool: explicit --engines wins; otherwise one
-            // engine per shard plus a spare when a kill targets a shard.
-            scenario.soc.engines =
-                engines.unwrap_or_else(|| sharded_engines_for(&scenario.soc.faults, n));
-            Some(ShardSpec::new(n).with_placement(placement).with_skew(skew))
-        }
-        _ => None,
-    };
     let start = std::time::Instant::now();
-    let r: RunResult = run_scenario(runner, &scenario, shard_spec.as_ref()).unwrap_or_else(|e| {
+    let r = run_scenario(runner, &scenario, shard.as_ref()).unwrap_or_else(|e| {
         eprintln!("socrun: {e}");
         std::process::exit(2);
     });
     let wall = start.elapsed();
 
-    print!("workload={workload:?} mode={mode} queue={queue} batch={batch} policy={policy:?}");
+    let p = &params;
+    print!(
+        "workload={:?} mode={mode} queue={} batch={} policy={:?}",
+        p.workload, p.queue, p.batch, p.policy
+    );
     if mode == "shard" {
         print!(
-            " shards={} placement={placement} engines={} skew={skew}",
-            shards.unwrap_or(1),
-            scenario.soc.engines
+            " shards={} placement={} engines={} skew={}",
+            p.shards, p.placement, scenario.soc.engines, p.skew
         );
     }
     println!();
@@ -209,7 +144,7 @@ fn main() {
         "latency: {} cycles ({:.1} kcycles, {:.2} cycles/element)",
         r.cycles,
         r.cycles as f64 / 1000.0,
-        r.cycles as f64 / queue as f64
+        r.cycles as f64 / p.queue as f64
     );
     println!("instructions: {}  IPC: {:.3}", r.instret, r.ipc());
     println!("verified: {}  (host wall time {:.2?})", r.verified, wall);

@@ -295,9 +295,9 @@ pub fn run_one(
             }
             rec
         }
-        // A shard-binding error at run time means spec validation has a
-        // hole; surface it as a named failure, not a crash.
-        Ok(Err(e)) => hung_record(scenario, seed, format!("shard binding failed: {e}")),
+        // The loader runs the same check, so a rejection here means a
+        // parameter set that bypassed it; surface it as a named failure.
+        Ok(Err(e)) => hung_record(scenario, seed, format!("scenario rejected: {e}")),
         Err(payload) => hung_record(scenario, seed, panic_message(payload.as_ref())),
     }
 }

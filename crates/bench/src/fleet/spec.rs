@@ -3,11 +3,12 @@
 //!
 //! A spec names a campaign and a list of scenarios; each scenario is a
 //! [`Runner`] plus the full parameter set a run needs ([`RunParams`]).
-//! Everything a run could get wrong — unknown runner, queue size that
-//! violates the runner's block granularity, a fault plan the runner
-//! cannot survive, an out-of-range kill target, a malformed seed range —
-//! is rejected *at load time* with a structured [`SpecError`] naming the
-//! offending line, instead of an assert ten minutes into a campaign.
+//! Everything a run could get wrong — unknown runner, a malformed value or
+//! seed range, a composition `run_scenario` would refuse (queue
+//! granularity, a fault plan the runner cannot survive, an out-of-range
+//! kill target; [`check_scenario`] owns those rules) — is rejected *at
+//! load time* with a structured [`SpecError`] naming the offending entry,
+//! instead of a failed run ten minutes into a campaign.
 //!
 //! The grammar is a deliberately small TOML subset (no external parser
 //! crates): `[campaign]` / `[defaults]` tables, `[[scenario]]` /
@@ -15,11 +16,13 @@
 //! an integer (decimal or `0x` hex, `_` separators allowed), a bool, a
 //! `"string"`, or a flat `[a, b, c]` list. `#` starts a comment.
 
-use cohort::scenarios::{sharded_engines_for, Runner, Scenario, ShardSpec, Workload};
+use cohort::scenarios::{
+    check_scenario, sharded_engines_for, Runner, Scenario, ScenarioError, ShardSpec, Workload,
+};
 use cohort_os::addrspace::MapPolicy;
 use cohort_os::driver::Placement;
 use cohort_sim::dram::DramConfig;
-use cohort_sim::faultinject::{splitmix64, FaultKind, FaultPlan, FaultSpecError, MAX_FAULT_CYCLE};
+use cohort_sim::faultinject::{splitmix64, FaultPlan, FaultSpecError, MAX_FAULT_CYCLE};
 
 /// Upper bound on total runs in one campaign — a typo guard, not a
 /// scaling limit (500-seed chaos campaigns sit far below it).
@@ -76,7 +79,7 @@ pub enum SpecError {
     /// A key's value has the wrong type, an unknown enum name, or an
     /// out-of-range magnitude.
     BadValue {
-        /// 1-based line number (0 when synthesised during resolution).
+        /// 1-based line number.
         line: usize,
         /// The key.
         key: String,
@@ -111,37 +114,12 @@ pub enum SpecError {
         /// The structured fault-grammar error.
         err: FaultSpecError,
     },
-    /// A queue size violating the runner's block granularity.
-    QueueGranularity {
+    /// A composition `run_scenario` would refuse.
+    Scenario {
         /// Scenario name.
         scenario: String,
-        /// Requested queue size.
-        queue: u64,
-        /// Required multiple.
-        multiple: u64,
-        /// The runner imposing it.
-        runner: Runner,
-    },
-    /// A fault the scenario's runner has no recovery story for — it
-    /// would wedge or trivially fail the run, so it is a spec bug.
-    FaultUnsupported {
-        /// Scenario name.
-        scenario: String,
-        /// The fault label (`kill`, `maple-kill`, …).
-        fault: &'static str,
-        /// The runner.
-        runner: Runner,
-        /// Why the combination is rejected.
-        why: &'static str,
-    },
-    /// A kill fault targeting an engine the scenario does not bind.
-    EngineTarget {
-        /// Scenario name.
-        scenario: String,
-        /// Requested engine index.
-        engine: u64,
-        /// Engines the scenario binds.
-        engines: usize,
+        /// The rule it breaks.
+        err: ScenarioError,
     },
     /// An `[[override]]` naming a scenario that does not exist.
     OverrideTarget {
@@ -190,35 +168,9 @@ impl std::fmt::Display for SpecError {
             SpecError::Fault { scenario, err } => {
                 write!(f, "spec: scenario {scenario:?}: {err}")
             }
-            SpecError::QueueGranularity {
-                scenario,
-                queue,
-                multiple,
-                runner,
-            } => write!(
-                f,
-                "spec: scenario {scenario:?}: queue {queue} is not a multiple \
-                 of {multiple} (required by runner {runner})"
-            ),
-            SpecError::FaultUnsupported {
-                scenario,
-                fault,
-                runner,
-                why,
-            } => write!(
-                f,
-                "spec: scenario {scenario:?}: {fault} fault is not supported \
-                 by runner {runner}: {why}"
-            ),
-            SpecError::EngineTarget {
-                scenario,
-                engine,
-                engines,
-            } => write!(
-                f,
-                "spec: scenario {scenario:?}: kill targets engine {engine} \
-                 but the scenario binds {engines} shard engine(s)"
-            ),
+            SpecError::Scenario { scenario, err } => {
+                write!(f, "spec: scenario {scenario:?}: {err}")
+            }
             SpecError::OverrideTarget { scenario } => {
                 write!(f, "spec: [[override]] names unknown scenario {scenario:?}")
             }
@@ -256,8 +208,6 @@ pub struct RunParams {
     pub placement: Placement,
     /// Skewed element-run sizes for the sharded runner.
     pub skew: bool,
-    /// Explicit engine count; `None` derives shards + spare-for-kill.
-    pub engines: Option<usize>,
     /// Parsed base fault plan (before per-seed variation).
     pub faults: FaultPlan,
     /// The fault grammar as written (reports echo it).
@@ -285,7 +235,6 @@ impl Default for RunParams {
             shards: 1,
             placement: Placement::RoundRobin,
             skew: false,
-            engines: None,
             faults: FaultPlan::default(),
             faults_text: String::new(),
             fault_jitter: 0,
@@ -296,12 +245,26 @@ impl Default for RunParams {
 }
 
 impl RunParams {
-    /// Engines the SoC will instantiate for a sharded run: explicit when
-    /// the spec set `engines =`, else shards plus a spare when the fault
-    /// plan kills a shard.
-    pub fn resolved_engines(&self) -> usize {
-        self.engines
-            .unwrap_or_else(|| sharded_engines_for(&self.faults, self.shards))
+    /// Sets one parameter from command-line text through the spec's key
+    /// table: an integer, `true`/`false` or any other string takes the
+    /// type the spec grammar would give it.
+    ///
+    /// # Errors
+    /// A message naming what the key's check rejects, or that `key` is
+    /// not a run parameter.
+    pub fn set(&mut self, key: &str, text: &str) -> Result<(), String> {
+        let value = match text {
+            "true" => Value::Bool(true),
+            "false" => Value::Bool(false),
+            _ => parse_int(text).map_or_else(|| Value::Str(text.to_string()), Value::Int),
+        };
+        match apply_param(self, key, &value, 0, "") {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(format!("{key:?} is not a run parameter")),
+            Err(SpecError::BadValue { msg, .. }) => Err(msg),
+            Err(SpecError::Fault { err, .. }) => Err(err.to_string()),
+            Err(e) => Err(e.to_string()),
+        }
     }
 
     /// The fault plan for one run seed: explicit event cycles jittered by
@@ -327,7 +290,9 @@ impl RunParams {
     }
 
     /// Materialises the scenario (and shard spec, for sharded runners)
-    /// for one seed.
+    /// for one seed. A sharded scenario records the engine count
+    /// `run_scenario` will instantiate, for callers that build the
+    /// hardware themselves.
     pub fn to_scenario(&self, runner: Runner, seed: u64) -> (Scenario, Option<ShardSpec>) {
         let mut s = Scenario::new(self.workload, self.queue, self.batch);
         s.policy = self.policy;
@@ -337,7 +302,7 @@ impl RunParams {
         s.soc.faults = self.plan_for_seed(seed);
         s.soc.dram = self.dram.clone();
         let shard = if runner == Runner::Sharded {
-            s.soc.engines = self.resolved_engines();
+            s.soc.engines = sharded_engines_for(&s.soc.faults, self.shards);
             Some(
                 ShardSpec::new(self.shards)
                     .with_placement(self.placement)
@@ -659,13 +624,6 @@ fn apply_param(
             p.placement = text.parse::<Placement>().map_err(bad)?;
         }
         "skew" => p.skew = expect_bool(key, value, line)?,
-        "engines" => {
-            let n = expect_int(key, value, line)? as usize;
-            if n == 0 || n > 64 {
-                return Err(bad("engines must be in 1..=64".into()));
-            }
-            p.engines = Some(n);
-        }
         "faults" => {
             let text = expect_str(key, value, line)?;
             p.faults = FaultPlan::parse(&text).map_err(|err| SpecError::Fault {
@@ -685,103 +643,15 @@ fn apply_param(
     Ok(true)
 }
 
-/// Cross-field validation of one resolved parameter set: queue
-/// granularity, shard/engine arithmetic, and fault/runner compatibility.
+/// Rejects a parameter set `run_scenario` would refuse, with the
+/// runner's own check. Kill targets and MAPLE faults are explicit-only,
+/// so any seed's plan stands for all of them.
 fn validate_params(scenario: &str, runner: Runner, p: &RunParams) -> Result<(), SpecError> {
-    let multiple = runner.queue_multiple(p.workload);
-    if !p.queue.is_multiple_of(multiple) {
-        return Err(SpecError::QueueGranularity {
-            scenario: scenario.to_string(),
-            queue: p.queue,
-            multiple,
-            runner,
-        });
-    }
-    if !runner.supports_policy(p.policy) {
-        return Err(SpecError::BadValue {
-            line: 0,
-            key: "policy".into(),
-            msg: format!(
-                "scenario {scenario:?}: the {runner} runner cannot run under {:?} \
-                 mapping (MAPLE's DMA walker requires mapped memory)",
-                p.policy
-            ),
-        });
-    }
-    let unsupported = |fault: &'static str, why: &'static str| SpecError::FaultUnsupported {
+    let (s, shard) = p.to_scenario(runner, 0);
+    check_scenario(runner, &s, shard.as_ref()).map_err(|err| SpecError::Scenario {
         scenario: scenario.to_string(),
-        fault,
-        runner,
-        why,
-    };
-    for ev in p.faults.schedule() {
-        match ev.kind {
-            FaultKind::KillEngine { engine } => match runner {
-                Runner::Sharded => {
-                    if engine as usize >= p.shards {
-                        return Err(SpecError::EngineTarget {
-                            scenario: scenario.to_string(),
-                            engine,
-                            engines: p.shards,
-                        });
-                    }
-                }
-                Runner::Failover => {
-                    if engine != 1 {
-                        return Err(unsupported(
-                            "kill",
-                            "the failover chain arms only the middle (SHA, \
-                             engine 1) engine; kill@C:1 is the survivable fault",
-                        ));
-                    }
-                }
-                Runner::Mesh16 => {
-                    if engine >= 4 {
-                        return Err(SpecError::EngineTarget {
-                            scenario: scenario.to_string(),
-                            engine,
-                            engines: 4,
-                        });
-                    }
-                }
-                _ => {
-                    return Err(unsupported(
-                        "kill",
-                        "no failover stack is armed; a fail-stop would wedge the run",
-                    ))
-                }
-            },
-            FaultKind::MapleStall { .. } | FaultKind::KillMaple if runner != Runner::DmaChaos => {
-                return Err(unsupported(
-                    ev.kind.label(),
-                    "only the dma-chaos runner reads back MAPLE's \
-                     dead-unit sentinel instead of hanging",
-                ));
-            }
-            _ => {}
-        }
-    }
-    if runner == Runner::Sharded {
-        let needed = sharded_engines_for(&p.faults, p.shards);
-        let engines = p.resolved_engines();
-        if engines < needed {
-            return Err(SpecError::BadValue {
-                line: 0,
-                key: "engines".into(),
-                msg: format!(
-                    "scenario {scenario:?} needs {needed} engine(s) \
-                     ({} shard(s){}) but the spec binds {engines}",
-                    p.shards,
-                    if needed > p.shards {
-                        " plus a failover spare"
-                    } else {
-                        ""
-                    }
-                ),
-            });
-        }
-    }
-    Ok(())
+        err,
+    })
 }
 
 /// A scalar or flat-list TOML value.
@@ -1114,11 +984,13 @@ mod tests {
         .unwrap_err();
         assert_eq!(
             bad_queue,
-            SpecError::QueueGranularity {
+            SpecError::Scenario {
                 scenario: "s".into(),
-                queue: 65,
-                multiple: 8,
-                runner: Runner::Chain,
+                err: ScenarioError::QueueGranularity {
+                    runner: Runner::Chain,
+                    queue: 65,
+                    multiple: 8,
+                },
             }
         );
 
@@ -1140,7 +1012,10 @@ mod tests {
         .unwrap_err();
         assert!(matches!(
             err,
-            SpecError::FaultUnsupported { fault: "kill", .. }
+            SpecError::Scenario {
+                err: ScenarioError::FaultUnsupported { fault: "kill", .. },
+                ..
+            }
         ));
 
         // kill past the shard pool.
@@ -1151,10 +1026,13 @@ mod tests {
         .unwrap_err();
         assert_eq!(
             err,
-            SpecError::EngineTarget {
+            SpecError::Scenario {
                 scenario: "s".into(),
-                engine: 2,
-                engines: 2,
+                err: ScenarioError::EngineTarget {
+                    runner: Runner::Sharded,
+                    engine: 2,
+                    engines: 2,
+                },
             }
         );
 
@@ -1180,14 +1058,15 @@ mod tests {
              shards = 2\nfaults = \"kill@10000:1\"\nqueue = 64",
         )
         .expect("parses");
-        assert_eq!(spec.scenarios[0].base.resolved_engines(), 3);
-        // An explicit engine count below shards+spare is rejected.
+        let (scenario, _) = spec.scenarios[0].base.to_scenario(Runner::Sharded, 0);
+        assert_eq!(scenario.soc.engines, 3);
+        // The pool size is derived, never a key.
         let err = FleetSpec::parse(
             "[campaign]\nname = \"x\"\n[[scenario]]\nname = \"s\"\nrunner = \"shard\"\n\
              shards = 2\nfaults = \"kill@10000:1\"\nqueue = 64\nengines = 2",
         )
         .unwrap_err();
-        assert!(matches!(err, SpecError::BadValue { .. }));
+        assert!(matches!(err, SpecError::UnknownKey { ref key, .. } if key == "engines"));
     }
 
     #[test]

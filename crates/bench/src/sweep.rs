@@ -2,7 +2,6 @@
 
 use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload};
 use cohort_os::driver::Placement;
-use cohort_sim::config::SocConfig;
 use cohort_sim::dram::DramConfig;
 use std::collections::HashMap;
 
@@ -73,7 +72,7 @@ impl Sweep {
                 Mode::Dma => (Runner::Dma, 64),
             };
             let scenario = Scenario::new(workload, queue_size, batch);
-            let result = run_scenario(runner, &scenario, None).expect("unsharded");
+            let result = run_scenario(runner, &scenario, None).expect("valid scenario");
             assert!(
                 result.verified,
                 "unverified run: {workload:?} {mode} queue={queue_size}"
@@ -134,12 +133,12 @@ impl Sweep {
                 );
             }
             let mut scenario = Scenario::new(workload, queue_size, crate::params::PEAK_BATCH);
-            scenario.soc = SocConfig::default().with_engines(shards);
             scenario.soc.dram = dram.cloned();
             let spec = ShardSpec::new(shards)
                 .with_placement(placement)
                 .with_skew(skewed);
-            let result = run_scenario(Runner::Sharded, &scenario, Some(&spec)).expect("pool binds");
+            let result =
+                run_scenario(Runner::Sharded, &scenario, Some(&spec)).expect("valid scenario");
             assert!(
                 result.verified,
                 "unverified sharded run: {workload:?} n={shards} {placement} queue={queue_size}"

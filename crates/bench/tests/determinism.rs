@@ -17,7 +17,7 @@ use cohort_sim::faultinject::FaultPlan;
 /// Runs `scenario` through `runner` (a 2-shard spec for the sharded one).
 fn run(runner: Runner, scenario: &Scenario) -> RunResult {
     let shard = (runner == Runner::Sharded).then(|| ShardSpec::new(2));
-    run_scenario(runner, scenario, shard.as_ref()).expect("pool binds")
+    run_scenario(runner, scenario, shard.as_ref()).expect("valid scenario")
 }
 
 /// Runs the scenario built by `run` under `Force1` and `Auto` and
@@ -50,9 +50,7 @@ fn assert_lookahead_invariant(name: &str, run: impl Fn(Lookahead) -> RunResult) 
 fn sharded_runs_are_lookahead_invariant() {
     assert_lookahead_invariant("sharded-aes", |lookahead| {
         let mut scenario = Scenario::new(Workload::Aes, 64, 4);
-        scenario.soc = SocConfig::default()
-            .with_engines(2)
-            .with_lookahead(lookahead);
+        scenario.soc = SocConfig::default().with_lookahead(lookahead);
         run(Runner::Sharded, &scenario)
     });
 }
@@ -78,7 +76,6 @@ fn dram_contended_runs_are_lookahead_invariant() {
     assert_lookahead_invariant("sharded-aes-dram", |lookahead| {
         let mut scenario = Scenario::new(Workload::Aes, 64, 4);
         scenario.soc = SocConfig::default()
-            .with_engines(2)
             .with_dram(dram.clone())
             .with_lookahead(lookahead);
         run(Runner::Sharded, &scenario)

@@ -9,6 +9,7 @@
 //! be bit-identical at any *host* fan-out width — thread scheduling may
 //! reorder execution but never leak into what gets reported.
 
+use cohort::scenarios::ScenarioError;
 use cohort_bench::fleet::{run_fleet, summarize, FleetSpec, Outcome, SpecError};
 use std::path::PathBuf;
 
@@ -203,23 +204,31 @@ fn spec_errors_are_structured() {
         // Kill faults are rejected on runners with no failover stack.
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"cohort\"\nfaults = \"kill@100:0\"\n",
-            |e| matches!(e, SpecError::FaultUnsupported { scenario, fault, .. }
-                if scenario == "a" && *fault == "kill"),
+            |e| matches!(e, SpecError::Scenario { scenario,
+                err: ScenarioError::FaultUnsupported { fault: "kill", .. } } if scenario == "a"),
         ),
         // A kill targeting a shard the scenario does not bind.
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"shard\"\nshards = 2\nfaults = \"kill@100:5\"\n",
-            |e| matches!(e, SpecError::EngineTarget { engine: 5, .. }),
+            |e| matches!(e, SpecError::Scenario { err: ScenarioError::EngineTarget { engine: 5, .. }, .. }),
+        ),
+        // Each recovery stack arms one spare, so a second kill is rejected
+        // instead of hanging the run.
+        (
+            "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"shard\"\nshards = 4\nfaults = \"kill@20000:0; kill@25000:1\"\n",
+            |e| matches!(e, SpecError::Scenario {
+                err: ScenarioError::FaultUnsupported { fault: "kill", .. }, .. }),
         ),
         // Queue size must honour the runner's block granularity.
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"shard\"\nworkload = \"sha\"\nqueue = 100\n",
-            |e| matches!(e, SpecError::QueueGranularity { queue: 100, .. }),
+            |e| matches!(e, SpecError::Scenario {
+                err: ScenarioError::QueueGranularity { queue: 100, .. }, .. }),
         ),
         // The DMA baselines cannot run under lazy mapping.
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"dma\"\npolicy = \"lazy\"\n",
-            |e| matches!(e, SpecError::BadValue { line: 0, key, .. } if key == "policy"),
+            |e| matches!(e, SpecError::Scenario { err: ScenarioError::Policy { .. }, .. }),
         ),
         // Overrides must name an existing scenario...
         (

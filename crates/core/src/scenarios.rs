@@ -39,8 +39,8 @@ use cohort_accel::sha256::{sha256_raw_block, Sha256Accel};
 use cohort_maple::regs as maple_regs;
 use cohort_os::addrspace::MapPolicy;
 use cohort_os::driver::{
-    fault_in, swap_store, FailoverConfig, Placement, ProgressProbe, ShardError, ShardPool,
-    SharedVm, SoftwareFallback, SwapStore,
+    fault_in, swap_store, FailoverConfig, Placement, ProgressProbe, ShardPool, SharedVm,
+    SoftwareFallback, SwapStore,
 };
 use cohort_os::sv39::PAGE_BYTES;
 use cohort_os::CohortDriver;
@@ -303,10 +303,9 @@ fn payload_checksum(cycles: u64, recorded: &[u64]) -> u64 {
 /// pieces onto engines.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardSpec {
-    /// Number of shards (engines the pool binds). The SoC must be
-    /// configured with at least this many engines
-    /// ([`SocConfig::engines`]), plus one spare when the fault plan kills
-    /// a shard.
+    /// Number of shards (engines the pool binds). [`run_scenario`] sizes
+    /// [`SocConfig::engines`] to match, plus one spare when the fault plan
+    /// kills a shard.
     pub shards: usize,
     /// Placement policy.
     pub placement: Placement,
@@ -513,26 +512,6 @@ impl Runner {
         }
     }
 
-    /// Queue-size granularity this runner requires: the chain pipelines
-    /// need whole SHA blocks, the sharded runners whole accelerator
-    /// blocks. Validating `queue % multiple == 0` at spec-load time turns
-    /// a mid-run assert into a structured error.
-    pub fn queue_multiple(&self, workload: Workload) -> u64 {
-        match self {
-            Runner::Chain | Runner::Failover => 8,
-            Runner::Sharded | Runner::Mesh16 => workload.words_in_per_block(),
-            _ => 1,
-        }
-    }
-
-    /// True when the runner can run under `policy`. MAPLE's DMA walker
-    /// requires mapped memory, so the DMA baselines reject lazy mapping;
-    /// every other pair verifies. Loaders check this before a run starts,
-    /// turning what would be a mid-run panic into a usage error.
-    pub fn supports_policy(&self, policy: MapPolicy) -> bool {
-        !(policy == MapPolicy::Lazy && matches!(self, Runner::Dma | Runner::DmaChaos))
-    }
-
     /// True for runners that host the workload behind Cohort engines at
     /// all (false for the MMIO/DMA baselines, which use MAPLE).
     pub fn uses_cohort_engines(&self) -> bool {
@@ -557,7 +536,7 @@ fn shard_victim(faults: &FaultPlan, shards: usize) -> Option<usize> {
 
 /// Engines the SoC must instantiate for a sharded run: one per shard,
 /// plus one spare when the fault plan kills a shard engine (the failover
-/// target). Mirrored by `socrun --shards` and the fleet loader.
+/// target). [`run_scenario`] sizes the pool with it.
 pub fn sharded_engines_for(faults: &FaultPlan, shards: usize) -> usize {
     shards + usize::from(shard_victim(faults, shards).is_some())
 }
@@ -619,32 +598,120 @@ struct Stack {
     extra: Extra,
 }
 
+/// A composition [`run_scenario`] refuses before building anything. Each
+/// variant is a rule of the runner's stages, so every loader (`socrun`,
+/// the fleet spec) rejects the same inputs with the same message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// `queue` is not a whole number of the stream shape's blocks
+    /// (`multiple` words): the chain needs whole SHA blocks, a sharded
+    /// stream whole accelerator blocks.
+    QueueGranularity {
+        runner: Runner,
+        queue: u64,
+        multiple: u64,
+    },
+    /// The DMA path under lazy mapping: MAPLE's DMA walker requires
+    /// mapped memory.
+    Policy { runner: Runner, policy: MapPolicy },
+    /// A `fault` (its label: `kill`, `maple-kill`, …) the recovery stack
+    /// has no answer for, and `why`: a kill that is not the stack's one
+    /// failover victim, a second kill, or a MAPLE fault outside the
+    /// hardened DMA stack.
+    FaultUnsupported {
+        runner: Runner,
+        fault: &'static str,
+        why: &'static str,
+    },
+    /// A kill of `engine`, outside the `engines` shard engines the run
+    /// binds.
+    EngineTarget {
+        runner: Runner,
+        engine: u64,
+        engines: usize,
+    },
+    /// A sharded stream with zero shards.
+    NoShards,
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScenarioError::QueueGranularity {
+                runner,
+                queue,
+                multiple,
+            } => write!(
+                f,
+                "queue {queue} is not a multiple of {multiple} (required by runner {runner})"
+            ),
+            ScenarioError::Policy { runner, policy } => write!(
+                f,
+                "the {runner} runner cannot run under {policy:?} mapping \
+                 (MAPLE's DMA walker requires mapped memory)"
+            ),
+            ScenarioError::FaultUnsupported { runner, fault, why } => {
+                write!(
+                    f,
+                    "{fault} fault is not supported by runner {runner}: {why}"
+                )
+            }
+            ScenarioError::EngineTarget {
+                runner,
+                engine,
+                engines,
+            } => write!(
+                f,
+                "kill targets engine {engine} but the {runner} runner binds \
+                 {engines} shard engine(s)"
+            ),
+            ScenarioError::NoShards => f.write_str("a sharded stream needs at least one shard"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
 /// Runs `scenario` through `runner` — the single entry point behind
 /// `socrun`, the fleet runner and every figure. `shard` parameterises
 /// [`Runner::Sharded`] (one shard when `None`; ignored elsewhere);
-/// [`Runner::Mesh16`] builds its own 4-shard, 11-noise-core spec and
-/// forces the engine count the mesh needs.
+/// [`Runner::Mesh16`] builds its own 4-shard, 11-noise-core spec. Both
+/// size [`SocConfig::engines`] themselves: one engine per shard, plus the
+/// failover spare when a kill fault targets a shard.
 ///
 /// # Errors
-/// [`ShardError`] when a sharded spec asks for zero shards or for more
-/// shards (plus the failover spare, when a kill fault targets one) than
-/// [`SocConfig::engines`] provides.
+/// [`ScenarioError`] when the composition breaks one of its stages' rules
+/// ([`check_scenario`]); nothing is built then.
 ///
 /// # Panics
-/// Panics before building when the runner does not support the scenario's
-/// mapping policy ([`Runner::supports_policy`]), on queue-granularity
-/// violations ([`Runner::queue_multiple`]), and when a run exceeds its
-/// cycle budget.
+/// Panics when a run exceeds its cycle budget.
 pub fn run_scenario(
     runner: Runner,
     scenario: &Scenario,
     shard: Option<&ShardSpec>,
-) -> Result<RunResult, ShardError> {
-    assert!(
-        runner.supports_policy(scenario.policy),
-        "the {runner} runner cannot run under {:?} mapping",
-        scenario.policy
-    );
+) -> Result<RunResult, ScenarioError> {
+    let (stack, scenario) = resolve(runner, scenario, shard);
+    check(runner, &stack, &scenario)?;
+    Ok(run_stack(&stack, &scenario))
+}
+
+/// The checks [`run_scenario`] makes before it builds, for loaders that
+/// reject a composition without running it.
+///
+/// # Errors
+/// The [`ScenarioError`] naming the first rule the composition breaks.
+pub fn check_scenario(
+    runner: Runner,
+    scenario: &Scenario,
+    shard: Option<&ShardSpec>,
+) -> Result<(), ScenarioError> {
+    let (stack, scenario) = resolve(runner, scenario, shard);
+    check(runner, &stack, &scenario)
+}
+
+/// `runner`'s composition of the stages, and the scenario as it runs: the
+/// failover chain's default kill injected, the sharded engine pool sized.
+fn resolve(runner: Runner, scenario: &Scenario, shard: Option<&ShardSpec>) -> (Stack, Scenario) {
     use {Extra as X, Invocation as I, Recovery as R, Shape as S};
     let mut scenario = scenario.clone();
     let (invocation, shape, recovery, extra) = match runner {
@@ -666,14 +733,11 @@ pub fn run_scenario(
         }
         Runner::Sharded | Runner::Mesh16 => {
             let spec = if runner == Runner::Mesh16 {
-                // A kill fault on a mesh shard needs the failover spare on
-                // top of the mesh's fixed 4-engine pool; fault-free meshes
-                // keep exactly the canonical geometry.
-                scenario.soc.engines = sharded_engines_for(&scenario.soc.faults, 4);
                 ShardSpec::new(4).with_background_cores(11)
             } else {
                 shard.copied().unwrap_or_else(|| ShardSpec::new(1))
             };
+            scenario.soc.engines = sharded_engines_for(&scenario.soc.faults, spec.shards);
             let recovery = shard_victim(&scenario.soc.faults, spec.shards)
                 .map_or(R::None, |victim| R::Failover { victim });
             let extra = X::Background(spec.background_cores);
@@ -686,12 +750,71 @@ pub fn run_scenario(
         recovery,
         extra,
     };
-    run_stack(&stack, &scenario)
+    (stack, scenario)
+}
+
+/// The rules of a resolved stack; see [`check_scenario`].
+fn check(runner: Runner, stack: &Stack, scenario: &Scenario) -> Result<(), ScenarioError> {
+    let multiple = match stack.shape {
+        Shape::Single => 1,
+        Shape::Chain => Workload::Sha.words_in_per_block(),
+        Shape::Sharded(spec) if spec.shards == 0 => return Err(ScenarioError::NoShards),
+        Shape::Sharded(_) => scenario.workload.words_in_per_block(),
+    };
+    if !scenario.queue_size.is_multiple_of(multiple) {
+        return Err(ScenarioError::QueueGranularity {
+            runner,
+            queue: scenario.queue_size,
+            multiple,
+        });
+    }
+    if stack.invocation == Invocation::Dma && scenario.policy == MapPolicy::Lazy {
+        return Err(ScenarioError::Policy {
+            runner,
+            policy: scenario.policy,
+        });
+    }
+    let hardened_dma = stack.invocation == Invocation::Dma && stack.recovery == Recovery::Chaos;
+    let mut kills = 0;
+    for ev in scenario.soc.faults.schedule() {
+        let why = match ev.kind {
+            FaultKind::KillEngine { engine } => {
+                kills += 1;
+                match (stack.recovery, stack.shape) {
+                    _ if kills > 1 => {
+                        "each recovery stack arms exactly one spare; a second fail-stop \
+                         would wedge the run"
+                    }
+                    (Recovery::Failover { victim }, _) if engine == victim as u64 => continue,
+                    (_, Shape::Sharded(spec)) => {
+                        return Err(ScenarioError::EngineTarget {
+                            runner,
+                            engine,
+                            engines: spec.shards,
+                        });
+                    }
+                    (Recovery::Failover { .. }, _) => {
+                        "the failover chain arms only the middle (SHA, engine 1) engine; \
+                         kill@C:1 is the survivable fault"
+                    }
+                    _ => "no failover stack is armed; a fail-stop would wedge the run",
+                }
+            }
+            FaultKind::MapleStall { .. } | FaultKind::KillMaple if !hardened_dma => {
+                "only the dma-chaos runner reads back MAPLE's dead-unit sentinel \
+                 instead of hanging"
+            }
+            _ => continue,
+        };
+        let fault = ev.kind.label();
+        return Err(ScenarioError::FaultUnsupported { runner, fault, why });
+    }
+    Ok(())
 }
 
 /// The one build-and-run path: hardware, the invocation path's stages,
 /// then the shared finish.
-fn run_stack(stack: &Stack, scenario: &Scenario) -> Result<RunResult, ShardError> {
+fn run_stack(stack: &Stack, scenario: &Scenario) -> RunResult {
     let input = scenario.input_words();
     let expected = match stack.shape {
         // Host reference for the chain: AES-ECB, then raw-block SHA-256.
@@ -700,7 +823,7 @@ fn run_stack(stack: &Stack, scenario: &Scenario) -> Result<RunResult, ShardError
     };
     let mut sys = build_system(stack, scenario);
     let verify = match stack.invocation {
-        Invocation::Cohort => cohort_stages(&mut sys, stack, scenario, &input, &expected)?,
+        Invocation::Cohort => cohort_stages(&mut sys, stack, scenario, &input, &expected),
         Invocation::Mmio => {
             let core = sys.core;
             load(&mut sys, core, mmio_program(scenario, &input));
@@ -708,13 +831,13 @@ fn run_stack(stack: &Stack, scenario: &Scenario) -> Result<RunResult, ShardError
         }
         Invocation::Dma => dma_stages(&mut sys, stack, scenario, &input),
     };
-    Ok(finish(
+    finish(
         sys,
         cycle_budget(scenario.queue_size),
         scenario.trace,
         &expected,
         verify,
-    ))
+    )
 }
 
 /// Instantiates the hardware the stack needs: the workload behind one
@@ -785,14 +908,14 @@ fn cohort_stages(
     scenario: &Scenario,
     input: &[u64],
     expected: &[u64],
-) -> Result<Verify, ShardError> {
+) -> Verify {
     if stack.extra == Extra::Interference {
         load_interference_core(sys, scenario);
     }
     let lanes = match stack.shape {
         Shape::Single => single_lanes(sys, scenario, input),
         Shape::Chain => chain_lanes(sys, scenario, input),
-        Shape::Sharded(spec) => sharded_lanes(sys, scenario, input, &spec, stack.recovery)?,
+        Shape::Sharded(spec) => sharded_lanes(sys, scenario, input, &spec, stack.recovery),
     };
     let spill_pa = match stack.recovery {
         Recovery::Failover { .. } => spill_page(sys),
@@ -878,7 +1001,7 @@ fn cohort_stages(
     if scenario.policy == MapPolicy::Lazy || swap.is_some() {
         arm_paging(sys, &vm, swap.as_ref());
     }
-    Ok(lanes.verify)
+    lanes.verify
 }
 
 /// A single engine between one input and one output queue, driven by the
@@ -907,7 +1030,6 @@ fn single_lanes<'a>(sys: &mut SimSystem, scenario: &'a Scenario, input: &'a [u64
 /// plaintext and pops digests, engine to engine in between.
 fn chain_lanes<'a>(sys: &mut SimSystem, scenario: &'a Scenario, input: &'a [u64]) -> Lanes<'a> {
     let n = scenario.queue_size;
-    assert_eq!(n % 8, 0, "chain needs whole SHA blocks");
     let m = n / 2; // AES keeps the size; SHA turns 8 words into 4.
     let encrypt_q = sys.alloc_queue(8, n as u32).descriptor;
     let hash_q = sys.alloc_queue(8, n as u32).descriptor;
@@ -972,15 +1094,12 @@ fn sharded_lanes<'a>(
     input: &[u64],
     spec: &ShardSpec,
     recovery: Recovery,
-) -> Result<Lanes<'a>, ShardError> {
+) -> Lanes<'a> {
     let wpb_in = scenario.workload.words_in_per_block();
     let wpb_out = scenario.workload.words_out_per_block();
-    assert!(
-        scenario.queue_size.is_multiple_of(wpb_in),
-        "sharded scenario needs whole accelerator blocks"
-    );
     let spares = usize::from(matches!(recovery, Recovery::Failover { .. }));
-    let mut pool = ShardPool::bind(&sys.drivers, spec.shards, spares, spec.placement)?;
+    let mut pool = ShardPool::bind(&sys.drivers, spec.shards, spares, spec.placement)
+        .expect("resolve sizes the engine pool for the shards and the spare");
     let shards = pool.shards();
 
     // Split, then place every run through the pool (this is where the
@@ -1073,12 +1192,12 @@ fn sharded_lanes<'a>(
             csr,
         })
         .collect();
-    Ok(Lanes {
+    Lanes {
         bindings,
         body: Box::new(body),
         producers,
         verify: Verify::ShardMerge { chunks, out, pool },
-    })
+    }
 }
 
 /// Fence + one-ALU index arithmetic + write-index store: the batched
@@ -1696,10 +1815,10 @@ mod tests {
     use super::*;
 
     fn run(runner: Runner, scenario: &Scenario) -> RunResult {
-        run_scenario(runner, scenario, None).expect("no shard binding")
+        run_scenario(runner, scenario, None).expect("valid scenario")
     }
 
-    fn sharded(scenario: &Scenario, spec: ShardSpec) -> Result<RunResult, ShardError> {
+    fn sharded(scenario: &Scenario, spec: ShardSpec) -> Result<RunResult, ScenarioError> {
         run_scenario(Runner::Sharded, scenario, Some(&spec))
     }
 
@@ -1744,18 +1863,16 @@ mod tests {
 
     #[test]
     fn sharded_aes_small_end_to_end() {
-        let mut scenario = Scenario::new(Workload::Aes, 64, 4);
-        scenario.soc = SocConfig::default().with_engines(2);
-        let r = sharded(&scenario, ShardSpec::new(2)).expect("pool binds");
+        let scenario = Scenario::new(Workload::Aes, 64, 4);
+        let r = sharded(&scenario, ShardSpec::new(2)).expect("valid scenario");
         assert!(r.verified, "sharded ciphertext mismatch");
         assert_eq!(r.recorded.len(), 64);
     }
 
     #[test]
     fn sharded_sha_handles_non_unit_block_ratio() {
-        let mut scenario = Scenario::new(Workload::Sha, 64, 8);
-        scenario.soc = SocConfig::default().with_engines(2);
-        let r = sharded(&scenario, ShardSpec::new(2)).expect("pool binds");
+        let scenario = Scenario::new(Workload::Sha, 64, 8);
+        let r = sharded(&scenario, ShardSpec::new(2)).expect("valid scenario");
         assert!(r.verified, "sharded digest mismatch");
         assert_eq!(r.recorded.len(), 32);
     }
@@ -1768,18 +1885,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_rejects_oversubscribed_pool() {
-        let mut scenario = Scenario::new(Workload::Aes, 64, 4);
-        scenario.soc = SocConfig::default().with_engines(2);
-        let err = sharded(&scenario, ShardSpec::new(3)).unwrap_err();
-        assert!(matches!(
-            err,
-            ShardError::NotEnoughEngines {
-                requested: 3,
-                engines: 2,
-                spares: 0
-            }
-        ));
+    fn sharded_run_rejects_zero_shards() {
+        let scenario = Scenario::new(Workload::Aes, 64, 4);
+        let err = sharded(&scenario, ShardSpec::new(0)).unwrap_err();
+        assert_eq!(err, ScenarioError::NoShards);
     }
 
     #[test]

@@ -156,13 +156,13 @@ pub type SharedVm = Arc<Mutex<(AddressSpace, FrameAllocator)>>;
 
 /// A software recovery path run (with functional memory access) when the
 /// engine's error retries are exhausted — the graceful-degradation hook.
-pub type SoftwareFallback = Box<dyn FnMut(&mut dyn MemAccess) + Send>;
+pub type SoftwareFallback = Box<dyn FnMut(&mut dyn MemAccess)>;
 
 /// A forward-progress probe polled by the error handler: returns a value
 /// that strictly grows while the engine moves elements (e.g. consumed +
 /// produced + drained). Used to reset the bounded-retry budget after a
 /// recovery demonstrably succeeded.
-pub type ProgressProbe = Box<dyn FnMut() -> u64 + Send>;
+pub type ProgressProbe = Box<dyn FnMut() -> u64>;
 
 /// Everything the failover orchestrator needs to migrate a victim
 /// engine's queues onto a spare: the spare's driver, the process state

@@ -624,7 +624,7 @@ impl FaultState {
 /// injected from above rather than implemented here. It runs during the
 /// injector's step, so its page-table writes commit at the cycle barrier
 /// like any other component write.
-pub type StormHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> u64 + Send>;
+pub type StormHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> u64>;
 
 /// The fault-injection component: owns the resolved schedule and applies
 /// each event on its due cycle.

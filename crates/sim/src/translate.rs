@@ -12,7 +12,7 @@ use crate::mem::MemAccess;
 /// Takes memory as `&dyn MemAccess` so walkers read page tables through
 /// the calling component's staged view (own same-cycle PTE writes
 /// visible, other components' staged writes not).
-pub trait Translator: Send {
+pub trait Translator {
     /// Translates `va`; `None` denotes a fault (the core panics — core-side
     /// faults are outside the modelled experiments).
     fn translate(&self, mem: &dyn MemAccess, va: u64) -> Option<u64>;

@@ -66,7 +66,7 @@ fn native_chain() {
 fn simulated_chain() {
     println!("== simulated SoC chain: core -> AES engine -> SHA engine -> core ==");
     let scenario = Scenario::new(Workload::Sha, 256, 32);
-    let result = run_scenario(Runner::Chain, &scenario, None).expect("unsharded");
+    let result = run_scenario(Runner::Chain, &scenario, None).expect("valid scenario");
     assert!(result.verified, "simulated chain output mismatch");
     println!(
         "   {} elements through two Cohort engines in {} cycles (IPC {:.2}), verified",

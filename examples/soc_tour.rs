@@ -11,7 +11,7 @@ use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
 
 /// Runs one unsharded scenario through `runner`.
 fn run(runner: Runner, scenario: &Scenario) -> RunResult {
-    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+    run_scenario(runner, scenario, None).expect("valid scenario")
 }
 
 fn show(label: &str, r: &RunResult) {

@@ -15,7 +15,7 @@ use cohort_sim::faultinject::{FaultKind, FaultPlan, FOREVER};
 
 /// Runs one unsharded scenario through `runner`.
 fn run(runner: Runner, scenario: &Scenario) -> RunResult {
-    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+    run_scenario(runner, scenario, None).expect("valid scenario")
 }
 
 /// Order-sensitive payload checksum.

@@ -13,7 +13,7 @@ use cohort_sim::faultinject::{FaultKind, FaultPlan, RandomFaults, FOREVER};
 
 /// Runs one unsharded scenario through `runner`.
 fn run(runner: Runner, scenario: &Scenario) -> RunResult {
-    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+    run_scenario(runner, scenario, None).expect("valid scenario")
 }
 
 /// A small SHA chaos scenario carrying `plan`.

@@ -9,7 +9,7 @@ use cohort_accel::Accelerator;
 
 /// Runs one unsharded scenario through `runner`.
 fn run(runner: Runner, scenario: &Scenario) -> RunResult {
-    run_scenario(runner, scenario, None).expect("unsharded runs bind no shard pool")
+    run_scenario(runner, scenario, None).expect("valid scenario")
 }
 
 fn words(bytes: &[u8]) -> Vec<u64> {

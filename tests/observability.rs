@@ -6,7 +6,7 @@
 use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
 
 fn cohort(scenario: &Scenario) -> RunResult {
-    run_scenario(Runner::Cohort, scenario, None).expect("unsharded")
+    run_scenario(Runner::Cohort, scenario, None).expect("valid scenario")
 }
 
 /// Pulls `"key":value` (or `"key":{...}` presence) out of the hand-rolled
@@ -80,11 +80,10 @@ fn traced_crypto_run_produces_stats_and_trace_json() {
 #[test]
 fn two_engine_soc_has_distinct_stats_scopes() {
     use cohort::scenarios::ShardSpec;
-    use cohort_sim::config::SocConfig;
 
-    let mut scenario = Scenario::new(Workload::Aes, 128, 8);
-    scenario.soc = SocConfig::default().with_engines(2);
-    let r = run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(2))).expect("pool binds");
+    let scenario = Scenario::new(Workload::Aes, 128, 8);
+    let r =
+        run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(2))).expect("valid scenario");
     assert!(r.verified);
     for scope in ["engine#0", "engine#1"] {
         for key in ["consumed", "backoffs", "tlb_hits"] {

@@ -14,7 +14,7 @@
 //! never re-blessed to make a refactor pass.
 
 use cohort::scenarios::{
-    run_scenario, CustomRun, RunResult, Runner, Scenario, ShardSpec, Workload,
+    run_scenario, CustomRun, RunResult, Runner, Scenario, ScenarioError, ShardSpec, Workload,
 };
 use cohort_accel::sha256::Sha256Accel;
 use cohort_os::addrspace::MapPolicy;
@@ -70,15 +70,16 @@ fn workload_name(workload: Workload) -> &'static str {
     }
 }
 
-/// Runs one row: queue 64, batch 8; `shard` binds 2 shards on 2 engines.
-fn run_row(runner: Runner, workload: Workload, policy: MapPolicy) -> RunResult {
+/// Runs one row: queue 64, batch 8; `shard` binds 2 shards.
+fn run_row(
+    runner: Runner,
+    workload: Workload,
+    policy: MapPolicy,
+) -> Result<RunResult, ScenarioError> {
     let mut scenario = Scenario::new(workload, 64, 8);
     scenario.policy = policy;
-    let shard = (runner == Runner::Sharded).then(|| {
-        scenario.soc = scenario.soc.clone().with_engines(2);
-        ShardSpec::new(2)
-    });
-    run_scenario(runner, &scenario, shard.as_ref()).expect("pool binds")
+    let shard = (runner == Runner::Sharded).then(|| ShardSpec::new(2));
+    run_scenario(runner, &scenario, shard.as_ref())
 }
 
 fn custom_row(policy: MapPolicy) -> RunResult {
@@ -96,7 +97,8 @@ fn rows() -> Vec<(String, RunResult)> {
     for runner in Runner::ALL {
         for workload in [Workload::Sha, Workload::Aes] {
             let name = format!("{runner}/{}/eager", workload_name(workload));
-            out.push((name, run_row(runner, workload, MapPolicy::Eager)));
+            let r = run_row(runner, workload, MapPolicy::Eager).expect("valid scenario");
+            out.push((name, r));
         }
     }
     for runner in [
@@ -106,7 +108,8 @@ fn rows() -> Vec<(String, RunResult)> {
         Runner::Mesh16,
     ] {
         let name = format!("{runner}/sha/{}", policy_name(MapPolicy::Lazy));
-        out.push((name, run_row(runner, Workload::Sha, MapPolicy::Lazy)));
+        let r = run_row(runner, Workload::Sha, MapPolicy::Lazy).expect("valid scenario");
+        out.push((name, r));
     }
     out.push(("custom/sha/eager".to_string(), custom_row(MapPolicy::Eager)));
     out
@@ -137,8 +140,8 @@ fn every_runner_matches_its_golden_pin() {
     assert_eq!(GOLDEN.len(), actual.len(), "every pinned row is run");
 }
 
-/// Every `(runner, policy)` pair either verifies or is rejected by
-/// [`Runner::supports_policy`] before the run starts; none panics mid-run.
+/// Every `(runner, policy)` pair either verifies or is rejected with
+/// [`ScenarioError::Policy`] before the run starts; none panics mid-run.
 /// A [`CustomRun`] verifies under every policy.
 #[test]
 fn every_runner_policy_pair_verifies_or_is_rejected() {
@@ -153,22 +156,19 @@ fn every_runner_policy_pair_verifies_or_is_rejected() {
     let mut rejected = Vec::new();
     for runner in Runner::ALL {
         for policy in policies {
-            if !runner.supports_policy(policy) {
-                let err = std::panic::catch_unwind(|| run_row(runner, Workload::Aes, policy))
-                    .expect_err("an unsupported pair must not run");
-                let msg = err.downcast_ref::<String>().expect("formatted panic");
-                assert!(msg.contains("cannot run under"), "{runner}: {msg}");
-                rejected.push((runner, policy));
-                continue;
-            }
             for workload in [Workload::Sha, Workload::Aes] {
-                let r = run_row(runner, workload, policy);
-                assert!(
-                    r.verified,
-                    "{runner}/{}/{} must verify",
+                let row = format!(
+                    "{runner}/{}/{}",
                     workload_name(workload),
                     policy_name(policy)
                 );
+                match run_row(runner, workload, policy) {
+                    Ok(r) => assert!(r.verified, "{row} must verify"),
+                    Err(e) => {
+                        assert_eq!(e, ScenarioError::Policy { runner, policy }, "{row}");
+                        rejected.push(row);
+                    }
+                }
             }
         }
     }
@@ -176,8 +176,10 @@ fn every_runner_policy_pair_verifies_or_is_rejected() {
     assert_eq!(
         rejected,
         [
-            (Runner::Dma, MapPolicy::Lazy),
-            (Runner::DmaChaos, MapPolicy::Lazy)
+            "dma/sha/lazy",
+            "dma/aes/lazy",
+            "dma-chaos/sha/lazy",
+            "dma-chaos/aes/lazy"
         ]
     );
 }

@@ -8,10 +8,9 @@ use cohort_queue::SeqMerge;
 use cohort_sim::config::SocConfig;
 use cohort_sim::faultinject::{splitmix64, FaultKind, FaultPlan};
 
-fn sharded(qs: u64, engines: usize, spec: &ShardSpec) -> RunResult {
-    let mut scenario = Scenario::new(Workload::Aes, qs, 64);
-    scenario.soc = SocConfig::default().with_engines(engines);
-    let r = run_scenario(Runner::Sharded, &scenario, Some(spec)).expect("pool binds");
+fn sharded(qs: u64, spec: &ShardSpec) -> RunResult {
+    let scenario = Scenario::new(Workload::Aes, qs, 64);
+    let r = run_scenario(Runner::Sharded, &scenario, Some(spec)).expect("valid scenario");
     assert!(r.verified, "sharded run failed verification");
     r
 }
@@ -30,8 +29,8 @@ fn summed_engine_counter(r: &RunResult, name: &str) -> u64 {
 #[test]
 fn sharded_run_is_deterministic() {
     let spec = ShardSpec::new(4).with_placement(Placement::OccupancyAware);
-    let a = sharded(1024, 4, &spec);
-    let b = sharded(1024, 4, &spec);
+    let a = sharded(1024, &spec);
+    let b = sharded(1024, &spec);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.recorded, b.recorded);
     assert_eq!(a.stats_json, b.stats_json);
@@ -76,9 +75,9 @@ fn merge_restores_order_under_random_interleavings() {
 fn shard_kill_heals_via_failover_with_correct_digest() {
     let mut scenario = Scenario::new(Workload::Aes, 1024, 64);
     scenario.soc = SocConfig::default()
-        .with_engines(5)
         .with_faults(FaultPlan::default().at(20_000, FaultKind::KillEngine { engine: 1 }));
-    let r = run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(4))).expect("pool binds");
+    let r =
+        run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(4))).expect("valid scenario");
     assert!(r.verified, "digest wrong after shard failover");
     assert_eq!(summed_engine_counter(&r, "rebinds"), 1);
     assert_eq!(summed_engine_counter(&r, "watchdog_trips"), 1);
@@ -88,8 +87,8 @@ fn shard_kill_heals_via_failover_with_correct_digest() {
 /// throughput of one shard on the same seed and stream.
 #[test]
 fn four_shards_scale_at_least_2_5x() {
-    let one = sharded(2048, 1, &ShardSpec::new(1));
-    let four = sharded(2048, 4, &ShardSpec::new(4));
+    let one = sharded(2048, &ShardSpec::new(1));
+    let four = sharded(2048, &ShardSpec::new(4));
     let speedup = one.cycles as f64 / four.cycles as f64;
     assert!(
         speedup >= 2.5,
@@ -104,10 +103,9 @@ fn four_shards_scale_at_least_2_5x() {
 /// engine under round-robin and spread under load-aware placement.
 #[test]
 fn occupancy_placement_beats_round_robin_on_skew() {
-    let rr = sharded(1024, 4, &ShardSpec::new(4).with_skew(true));
+    let rr = sharded(1024, &ShardSpec::new(4).with_skew(true));
     let occ = sharded(
         1024,
-        4,
         &ShardSpec::new(4)
             .with_placement(Placement::OccupancyAware)
             .with_skew(true),
@@ -124,7 +122,7 @@ fn occupancy_placement_beats_round_robin_on_skew() {
 /// the histogram keys are distinct per engine and all present.
 #[test]
 fn sharded_run_reports_per_engine_occupancy() {
-    let r = sharded(256, 2, &ShardSpec::new(2));
+    let r = sharded(256, &ShardSpec::new(2));
     for s in 0..2 {
         let h = r
             .histogram(&format!("engine#{s}.in_queue_occupancy"))
